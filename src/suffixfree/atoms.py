@@ -91,21 +91,22 @@ def atoms(d: Dfa, suffix_free: bool = False) -> frozenset:
     """All bases of non-empty atomic intersections of a minimal DFA.
 
     Exhaustive sweep over the 2**n subsets; with suffix_free=True,
-    bases containing the sink n-1, or containing 0 alongside other
-    states, are skipped up front (they are never atoms of a suffix-free
-    language).
+    bases containing the empty state (non-final, every letter a
+    self-loop), or containing d.initial alongside other states, are
+    skipped up front (they are never atoms of a suffix-free language).
     """
     n = d.state_count
     if n > MAX_ATOM_DEGREE:
         raise BudgetError(
             f"atom sweep needs 2**{n} bases; max state count is {MAX_ATOM_DEGREE}")
+    empty = frozenset(d.empty_states())
     found = []
     for bits in range(1 << n):
         basis = frozenset(q for q in range(n) if bits >> q & 1)
         if suffix_free:
-            if n - 1 in basis:
+            if basis & empty:
                 continue
-            if 0 in basis and len(basis) > 1:
+            if d.initial in basis and len(basis) > 1:
                 continue
         if is_atom(d, basis):
             found.append(basis)

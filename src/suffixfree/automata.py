@@ -25,6 +25,13 @@ class BudgetError(ValueError):
     """Raised when a computation would exceed its stated size budget."""
 
 
+def _check_letters(alphabet: tuple) -> None:
+    """Letters are non-empty strings; "" is reserved for EPSILON."""
+    for a in alphabet:
+        if not isinstance(a, str) or a == EPSILON:
+            raise ValueError(f"alphabet letters must be non-empty strings: {a!r}")
+
+
 class Transformation(tuple):
     """A total self-map of {0,...,n-1}; entry q is the image of state q.
 
@@ -80,6 +87,7 @@ class Dfa:
 
     def __init__(self, state_count, alphabet, delta, initial, finals):
         alphabet = tuple(alphabet)
+        _check_letters(alphabet)
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
         if set(delta) != set(alphabet):
@@ -113,6 +121,13 @@ class Dfa:
     def accepts(self, word: Sequence[str]) -> bool:
         return self.run(word) in self.finals
 
+    def empty_states(self) -> list:
+        """Non-final states that every letter fixes (the sink of a
+        suffix-free DFA), in increasing order."""
+        return [q for q in range(self.state_count)
+                if q not in self.finals
+                and all(self.delta[a][q] == q for a in self.alphabet)]
+
     def to_dict(self) -> dict:
         """Interchange form; round-trips bit-exactly for canonical DFAs."""
         return {
@@ -125,6 +140,26 @@ class Dfa:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dfa":
+        """Parse the interchange form.  A malformed document raises
+        ValueError naming the offending field."""
+        if not isinstance(d, dict):
+            raise ValueError("interchange document must be a JSON object")
+        for key, kind in (("states", int), ("alphabet", list),
+                          ("transitions", dict), ("initial", int),
+                          ("finals", list)):
+            if key not in d:
+                raise ValueError(f"interchange field {key!r} is missing")
+            if not isinstance(d[key], kind) or isinstance(d[key], bool):
+                raise ValueError(f"interchange field {key!r} must be a JSON "
+                                 f"{kind.__name__}, got {d[key]!r}")
+        _check_letters(tuple(d["alphabet"]))
+        for key, values in [("finals", d["finals"])] + [
+                (f"transitions.{a}", d["transitions"].get(a))
+                for a in d["alphabet"]]:
+            if not isinstance(values, list) or any(
+                    type(v) is not int for v in values):
+                raise ValueError(f"interchange field {key!r} must be a list "
+                                 f"of state numbers, got {values!r}")
         return cls(
             state_count=d["states"],
             alphabet=d["alphabet"],
@@ -158,6 +193,7 @@ class Nfa:
 
     def __init__(self, state_count, alphabet, transitions, initials, finals):
         alphabet = tuple(alphabet)
+        _check_letters(alphabet)
         transitions = frozenset(tuple(t) for t in transitions)
         initials = frozenset(initials)
         finals = frozenset(finals)

@@ -131,14 +131,43 @@ def in_wsf(t) -> bool:
 _PREDICATE = {BSF: in_bsf, VSF: in_vsf, WSF: in_wsf}
 
 
+def _close(degree: int, gens, guard=None, max_elements: int = None):
+    """Closure of bytes-encoded transformations (entry q is q's image).
+
+    t * g (t first) is t.translate(g + bytes(range(degree, 256))), found
+    in BFS order with generators in the given order, as Froidure and Pin
+    (1997) enumerate the right Cayley graph.  Returns (elements, escape):
+    the elements in discovery order, and the first (t, g) with t * g
+    outside guard (a set holding the generators), else None.
+    """
+    tail = bytes(range(degree, 256))
+    tables = [g + tail for g in gens]
+    queue = list(dict.fromkeys(gens))
+    seen = set(queue)
+    limit = float("inf") if max_elements is None else max_elements
+    for t in queue:
+        if len(queue) > limit:
+            raise BudgetError(f"closure exceeded max_elements={max_elements}")
+        for table in tables:
+            u = t.translate(table)
+            if u not in seen:
+                if guard is not None and u not in guard:
+                    return queue, (t, table[:degree])
+                seen.add(u)
+                queue.append(u)
+    return queue, None
+
+
 def generate(degree: int, generators, names=None, allow_large: bool = False,
              max_elements: int = None) -> TransitionSemigroup:
     """Smallest composition-closed set containing the generators.
 
-    Worklist closure by right-composition; element discovery order is
-    BFS with generators in the given order.  Degrees >= 9 are rejected
-    unless allow_large is set (the full wsf(9) closure alone has
-    8**7 + 7 elements).
+    BFS closure by right-composition, generators in the given order, on
+    bytes elements: each composition is one bytes.translate, run in C.
+    Images are checked to lie in 0..degree-1 on the way back to
+    Transformation.  Degrees >= 9 need allow_large (wsf(9) alone has
+    8**7 + 7 elements); the byte encoding caps the degree at 256.  More
+    than max_elements elements raise BudgetError.
     """
     gens = [Transformation(g) for g in generators]
     for g in gens:
@@ -148,26 +177,13 @@ def generate(degree: int, generators, names=None, allow_large: bool = False,
         raise BudgetError(
             f"closure at degree {degree} exceeds the default budget "
             f"(max {MAX_CLOSURE_DEGREE}); pass allow_large=True to override")
-    elements = {}
-    queue = []
-    for g in gens:
-        if g not in elements:
-            elements[g] = None
-            queue.append(tuple(g))
-    raw_gens = [tuple(g) for g in gens]
-    seen = set(queue)
-    i = 0
-    while i < len(queue):
-        t = queue[i]
-        i += 1
-        for g in raw_gens:
-            u = tuple(g[x] for x in t)
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-                if max_elements is not None and len(seen) > max_elements:
-                    raise BudgetError(
-                        f"closure exceeded max_elements={max_elements}")
+    if degree > 256:
+        raise BudgetError(f"closure at degree {degree} exceeds the byte "
+                          "encoding's limit (max 256)")
+    elements, _ = _close(degree, [bytes(g) for g in gens],
+                         max_elements=max_elements)
+    if elements and max(map(max, elements)) >= degree:
+        raise ValueError(f"closure produced an image outside 0..{degree - 1}")
     named = None
     if names is not None:
         named = tuple(zip(names, gens))
@@ -175,7 +191,7 @@ def generate(degree: int, generators, names=None, allow_large: bool = False,
         named = tuple((f"g{i}", g) for i, g in enumerate(gens))
     return TransitionSemigroup(
         degree=degree,
-        elements=frozenset(Transformation(t) for t in seen),
+        elements=frozenset([tuple.__new__(Transformation, t) for t in elements]),
         generators=named,
     )
 
@@ -188,10 +204,7 @@ def _sink_last(d: Dfa) -> Dfa:
     convention with the sink last.  Middle states keep their BFS order,
     so the transformations change only by a conjugation fixing 0."""
     n = d.state_count
-    sinks = [
-        q for q in range(n)
-        if q not in d.finals and all(d.delta[a][q] == q for a in d.alphabet)
-    ]
+    sinks = d.empty_states()
     if len(sinks) != 1 or sinks[0] == n - 1:
         return d
     order = [q for q in range(n) if q != sinks[0]] + sinks
@@ -240,12 +253,11 @@ def enumerate_class(n: int, cls: str, check_closed: bool = None) -> frozenset:
         if cls == BSF:
             raise ValueError("bsf is not closed under composition; "
                              "closure cannot be asserted")
-        members = set(hits)
-        for s in hits:
-            for t in hits:
-                if tuple(t[q] for q in s) not in members:
-                    raise AssertionError(
-                        f"{cls} not closed: {s} * {t} escapes")
+        raw = [bytes(t) for t in hits]
+        _, escape = _close(n, raw, guard=set(raw))
+        if escape is not None:
+            s, t = (tuple(x) for x in escape)
+            raise AssertionError(f"{cls} not closed: {s} * {t} escapes")
     return frozenset(Transformation(t) for t in hits)
 
 

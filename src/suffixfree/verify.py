@@ -22,6 +22,7 @@ from .semigroups import (
     VSF,
     WSF,
     TransitionSemigroup,
+    _close,
     colliding_pairs,
     enumerate_class,
     focused_pairs,
@@ -336,25 +337,6 @@ class SearchReport:
         }
 
 
-def _closure_within_bsf(degree, gens, bsf_set):
-    """Closure of gens under composition, aborting as soon as an element
-    escapes bsf.  Returns the element set or None on escape."""
-    queue = list(dict.fromkeys(gens))
-    seen = set(queue)
-    i = 0
-    while i < len(queue):
-        t = queue[i]
-        i += 1
-        for g in gens:
-            u = tuple(g[x] for x in t)
-            if u not in seen:
-                if u not in bsf_set:
-                    return None
-                seen.add(u)
-                queue.append(u)
-    return seen
-
-
 def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
     """Closures of every generator subset of bsf(n) up to the size cap.
 
@@ -365,7 +347,7 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
         raise BudgetError("subsemigroup search is budgeted for n <= 5")
     if cap > 3:
         raise BudgetError("generator-set size cap is 3")
-    bsf = sorted(tuple(t) for t in enumerate_class(n, BSF))
+    bsf = [bytes(t) for t in sorted(enumerate_class(n, BSF))]
     bsf_set = set(bsf)
     all_middle_pairs = frozenset(
         (p, q) for p in range(1, n - 1) for q in range(p + 1, n - 1)
@@ -375,8 +357,8 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
     any_both = False
     for size in range(1, cap + 1):
         for gens in combinations(bsf, size):
-            elements = _closure_within_bsf(n, gens, bsf_set)
-            if elements is None:
+            elements, escape = _close(n, gens, guard=bsf_set)
+            if escape is not None:
                 continue
             found += 1
             best = max(best, len(elements))

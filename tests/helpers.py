@@ -11,6 +11,24 @@ def random_transformation(rng: random.Random, n: int) -> Transformation:
     return Transformation(tuple(rng.randrange(n) for _ in range(n)))
 
 
+def reference_closure(generators) -> frozenset:
+    """Closure under composition by a plain tuple worklist, independent
+    of the byte kernel behind semigroups.generate."""
+    gens = [tuple(g) for g in generators]
+    queue = list(dict.fromkeys(gens))
+    seen = set(queue)
+    i = 0
+    while i < len(queue):
+        t = queue[i]
+        i += 1
+        for g in gens:
+            u = tuple(g[x] for x in t)
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return frozenset(seen)
+
+
 def random_dfa(rng: random.Random, n: int, letters: int) -> Dfa:
     alphabet = tuple("abcdefgh"[:letters])
     delta = {a: random_transformation(rng, n) for a in alphabet}

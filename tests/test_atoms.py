@@ -92,6 +92,15 @@ def test_suffix_free_prune_matches_full_sweep():
         assert atoms(d, suffix_free=True) == atoms(d, suffix_free=False)
 
 
+def test_suffix_free_prune_finds_sink_and_initial_after_minimize():
+    # Minimization numbers states in BFS order, so the sink is not n-1.
+    m = minimize(d6(6))
+    assert m.state_count == 6
+    pruned = atoms(m, suffix_free=True)
+    assert pruned == atoms(m, suffix_free=False)
+    assert len(pruned) == 17
+
+
 def test_atoms_are_pairwise_disjoint():
     rng = random.Random(31)
     for _ in range(5):

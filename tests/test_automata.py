@@ -99,6 +99,38 @@ def test_dfa_validates_shape():
         Dfa(2, ("a",), {"a": (0, 1)}, 0, {7})
 
 
+def test_alphabet_letters_must_be_non_empty_strings():
+    # "" is EPSILON in the NFA layer: accepting it as a letter made
+    # is_suffix_free answer wrongly instead of raising.
+    with pytest.raises(ValueError, match="non-empty strings"):
+        Dfa(2, ("", "a"), {"": (1, 1), "a": (1, 1)}, 0, {1})
+    with pytest.raises(ValueError, match="non-empty strings"):
+        Dfa(1, (1,), {1: (0,)}, 0, set())
+    with pytest.raises(ValueError, match="non-empty strings"):
+        Nfa(2, ("", "a"), [(0, "a", 1)], {0}, {1})
+    with pytest.raises(ValueError, match="non-empty strings"):
+        Nfa(2, (None,), [], {0}, {1})
+
+
+def test_from_dict_names_the_malformed_field():
+    doc = d6(4).to_dict()
+    cases = {
+        "transitions": {k: v for k, v in doc.items() if k != "transitions"},
+        "transitions.b": dict(doc, transitions=dict(doc["transitions"],
+                                                    b=[3, "2", 1, 3])),
+        "states": dict(doc, states="4"),
+        "finals": dict(doc, finals=[1.0]),
+        "initial": dict(doc, initial=None),
+    }
+    for field, bad in cases.items():
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            Dfa.from_dict(bad)
+    with pytest.raises(ValueError, match="non-empty strings"):
+        Dfa.from_dict(dict(doc, alphabet=["", "b"]))
+    with pytest.raises(ValueError, match="JSON object"):
+        Dfa.from_dict([doc])
+
+
 def test_dfa_accepts():
     d = d6(5)
     assert d.accepts("e")

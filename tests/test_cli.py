@@ -1,10 +1,11 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from suffixfree.automata import Dfa
-from suffixfree.cli import main
+from suffixfree.cli import main, run
 from suffixfree.langops import equivalent, star
 from suffixfree.witnesses import d5, d6
 
@@ -200,3 +201,20 @@ def test_search_budget_exit_two(runner):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "budget" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("field, broken", [
+    ("transitions", lambda doc: doc.pop("transitions")),
+    ("transitions.b", lambda doc: doc["transitions"]["b"].__setitem__(1, "x")),
+])
+def test_malformed_interchange_exit_two(tmp_path, monkeypatch, capsys,
+                                        field, broken):
+    doc = d6(4).to_dict()
+    broken(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(sys, "argv", ["sfc", "semigroup", "generate", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
+    assert f"'{field}'" in capsys.readouterr().err

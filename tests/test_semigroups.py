@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from suffixfree import semigroups
 from suffixfree.automata import BudgetError, Dfa, Transformation, minimize
 from suffixfree.semigroups import (
     BSF,
@@ -25,6 +26,8 @@ from suffixfree.semigroups import (
     zero_path,
 )
 from suffixfree.witnesses import d5, d6
+
+from helpers import random_transformation, reference_closure
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,16 @@ def test_enumerate_class_rejects_bsf_closure_check():
         enumerate_class(4, BSF, check_closed=True)
 
 
+def test_enumerate_class_closedness_check_catches_escape(monkeypatch):
+    # bsf(4) is not closed; passed off as vsf(4) the check must catch it.
+    monkeypatch.setitem(semigroups._PREDICATE, VSF, in_bsf)
+    with pytest.raises(AssertionError, match="vsf not closed"):
+        enumerate_class(4, VSF, check_closed=True)
+    monkeypatch.setitem(semigroups._PREDICATE, WSF, in_bsf)
+    with pytest.raises(AssertionError, match="wsf not closed"):
+        enumerate_class(4, WSF, check_closed=True)
+
+
 def test_enumerate_class_budget():
     with pytest.raises(BudgetError):
         enumerate_class(9, WSF)
@@ -189,6 +202,24 @@ def test_generate_budget_errors():
         generate(5, [t for _, t in vsf_generators(5)], max_elements=10)
     with pytest.raises(ValueError):
         generate(4, [(0, 1, 2)])  # degree mismatch
+
+
+def test_generate_rejects_degree_past_byte_encoding():
+    with pytest.raises(BudgetError, match="256"):
+        generate(257, [Transformation.identity(257)], allow_large=True)
+    top = generate(256, [Transformation.identity(256)], allow_large=True)
+    assert top.elements == frozenset({Transformation.identity(256)})
+
+
+def test_generate_matches_reference_closure():
+    rng = random.Random(41)
+    for n in range(2, 8):
+        for k in (1, 2, 3):
+            for _ in range(4):
+                gens = [random_transformation(rng, n) for _ in range(k)]
+                s = generate(n, gens)
+                assert s.elements == reference_closure(gens), (n, gens)
+                assert all(type(t) is Transformation for t in s.elements)
 
 
 def test_transition_semigroup_of_witnesses():

@@ -137,6 +137,17 @@ def test_search_degree_4():
     assert r.to_dict()["degree"] == 4
 
 
+def test_search_reports_are_unchanged():
+    assert search_subsemigroups(4, 3).to_dict() == {
+        "degree": 4, "generator_cap": 3, "semigroups_found": 479,
+        "max_cardinality": 13, "any_colliding_and_focused": False,
+        "complete": True}
+    assert search_subsemigroups(5, 2).to_dict() == {
+        "degree": 5, "generator_cap": 2, "semigroups_found": 5308,
+        "max_cardinality": 49, "any_colliding_and_focused": False,
+        "complete": True}
+
+
 def test_search_budgets():
     with pytest.raises(BudgetError):
         search_subsemigroups(6)
