@@ -1,6 +1,7 @@
 """Atoms of a regular language: the atom DFA over disjoint subset
-pairs, atom enumeration, atom quotient complexities, and the exact
-upper-bound formula for atoms of suffix-free languages.
+pairs, atom enumeration by one reversed subset construction, atom
+quotient complexities, and the exact upper-bound formula for atoms of
+suffix-free languages.
 
 An atom is a non-empty intersection of some quotients (indexed by the
 basis S) with the complements of all the others.  Atoms partition
@@ -12,114 +13,120 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import BudgetError, Dfa, Transformation, minimize, quotient_complexity
+from .automata import Dfa, minimize, quotient_complexity
 from .semigroups import transition_semigroup
 
-#: Sink of the atom DFA, entered when the tracked subset pair collides.
-BOTTOM = "bottom"
-
-#: Budget on the exhaustive 2**n basis sweep.
-MAX_ATOM_DEGREE = 20
+#: Sink of the atom DFA, entered when the tracked subset pair collides;
+#: no packed pair is negative.
+_BOTTOM = -1
 
 
-def _atom_reachable(d: Dfa, basis: frozenset):
-    """BFS over the disjoint-pair construction.
+def _mask(states) -> int:
+    return sum(1 << q for q in states)
 
-    Returns (order, rows, finals_idx): reachable states in discovery
-    order (pairs (X, Y) plus possibly BOTTOM), transition rows per
-    letter, and the set of final state indices.
+
+def _union(rows: list, mask: int) -> int:
+    """OR of rows[q] over the states q in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _raw_atom_dfa(d: Dfa, basis) -> Dfa:
+    """Atom DFA before minimization, over disjoint subset pairs (X, Y).
+
+    X tracks the images of the basis and Y those of its complement,
+    both as int bitmasks packed into one key Y << n | X; the pair
+    collapses to a sink as soon as they collide.  (X, Y) is final when
+    X lies inside d.finals and Y misses it.  States are numbered in BFS
+    discovery order with letters in alphabet order.
     """
+    basis = frozenset(basis)
     n = d.state_count
-    full = frozenset(range(n))
-    start = (basis, full - basis)
-    index = {start: 0}
-    order = [start]
-    rows = {a: [] for a in d.alphabet}
-    i = 0
-    while i < len(order):
-        state = order[i]
-        i += 1
-        for a in d.alphabet:
-            if state == BOTTOM:
-                nxt = BOTTOM
-            else:
-                x, y = state
-                t = d.delta[a]
-                xa = frozenset(t[q] for q in x)
-                ya = frozenset(t[q] for q in y)
-                nxt = BOTTOM if xa & ya else (xa, ya)
+    if any(not 0 <= q < n for q in basis):
+        raise ValueError("basis must be a subset of the state set")
+    full = (1 << n) - 1
+    images = [[1 << r for r in d.delta[a]] for a in d.alphabet]
+    # Per-letter images of subsets: the same X or Y recurs in many pairs.
+    memos = [{} for _ in d.alphabet]
+    b = _mask(basis)
+    index = {(full ^ b) << n | b: 0}
+    order = list(index)
+    rows = [[] for _ in d.alphabet]
+    for state in order:
+        for image, memo, row in zip(images, memos, rows):
+            nxt = _BOTTOM
+            if state != _BOTTOM:
+                x = state & full
+                xa = memo.get(x)
+                if xa is None:
+                    xa = memo[x] = _union(image, x)
+                y = state >> n
+                ya = memo.get(y)
+                if ya is None:
+                    ya = memo[y] = _union(image, y)
+                if not xa & ya:
+                    nxt = ya << n | xa
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
-            rows[a].append(index[nxt])
-    finals = frozenset(
-        idx
-        for state, idx in index.items()
-        if state != BOTTOM and state[0] <= d.finals and not (state[1] & d.finals)
-    )
-    return order, rows, finals
+            row.append(index[nxt])
+    f = _mask(d.finals)
+    finals = [i for i, state in enumerate(order)
+              if state != _BOTTOM and not state & full & ~f and not state >> n & f]
+    return Dfa(len(order), d.alphabet, dict(zip(d.alphabet, rows)), 0, finals)
 
 
 def atom_dfa(d: Dfa, basis) -> Dfa:
-    """Minimal DFA of the atomic intersection with the given basis.
-
-    d must be minimal; states (X, Y) track the images of the basis and
-    of its complement, collapsing to a sink as soon as they collide.
-    """
-    basis = frozenset(basis)
-    if any(not 0 <= q < d.state_count for q in basis):
-        raise ValueError("basis must be a subset of the state set")
-    order, rows, finals = _atom_reachable(d, basis)
-    raw = Dfa(
-        len(order),
-        d.alphabet,
-        {a: Transformation(rows[a]) for a in d.alphabet},
-        0,
-        finals,
-    )
-    return minimize(raw)
+    """Minimal DFA of the atomic intersection with the given basis."""
+    return minimize(_raw_atom_dfa(d, basis))
 
 
 def is_atom(d: Dfa, basis) -> bool:
     """Non-emptiness of the atomic intersection, by reachability of a
     final state in the raw construction."""
-    _, _, finals = _atom_reachable(d, frozenset(basis))
-    return bool(finals)
+    return bool(_raw_atom_dfa(d, basis).finals)
 
 
-def atoms(d: Dfa, suffix_free: bool = False) -> frozenset:
-    """All bases of non-empty atomic intersections of a minimal DFA.
+def atoms(d: Dfa) -> frozenset:
+    """Bases of all atoms of d's language, for any DFA d.
 
-    Exhaustive sweep over the 2**n subsets; with suffix_free=True,
-    bases containing the empty state (non-final, every letter a
-    self-loop), or containing d.initial alongside other states, are
-    skipped up front (they are never atoms of a suffix-free language).
+    The basis of the atom that contains w is {q : q.w in F}, which is
+    the subset the reversed automaton reaches from F on the reverse of
+    w.  So the bases are the subsets that one reversed subset
+    construction reaches from F, stepping through per-letter preimage
+    tables (Brzozowski and Tamm, "Theory of atomata", TCS 539, 2014).
     """
     n = d.state_count
-    if n > MAX_ATOM_DEGREE:
-        raise BudgetError(
-            f"atom sweep needs 2**{n} bases; max state count is {MAX_ATOM_DEGREE}")
-    empty = frozenset(d.empty_states())
-    found = []
-    for bits in range(1 << n):
-        basis = frozenset(q for q in range(n) if bits >> q & 1)
-        if suffix_free:
-            if basis & empty:
-                continue
-            if d.initial in basis and len(basis) > 1:
-                continue
-        if is_atom(d, basis):
-            found.append(basis)
-    return frozenset(found)
+    preimages = []
+    for a in d.alphabet:
+        pre = [0] * n
+        for q, r in enumerate(d.delta[a]):
+            pre[r] |= 1 << q
+        preimages.append(pre)
+    start = _mask(d.finals)
+    seen = {start}
+    order = [start]
+    for s in order:
+        for pre in preimages:
+            t = _union(pre, s)
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    return frozenset(frozenset(q for q in range(n) if s >> q & 1) for s in order)
 
 
 def atom_complexity(d: Dfa, basis) -> int:
     """Quotient complexity of the atom with the given basis."""
     basis = frozenset(basis)
-    if not is_atom(d, basis):
+    raw = _raw_atom_dfa(d, basis)
+    if not raw.finals:
         raise ValueError(f"{sorted(basis)} is not an atom basis: "
                          "the atomic intersection is empty")
-    return quotient_complexity(atom_dfa(d, basis))
+    return quotient_complexity(raw)
 
 
 def middle_basis_bound(n: int, size: int) -> int:
@@ -155,22 +162,6 @@ def suffix_free_atom_bound(n: int, basis) -> int:
     return middle_basis_bound(n, len(basis))
 
 
-def left_ideal_atom_bound(n: int, size: int) -> int:
-    """Atom bound for left ideals, middle case: 1 + sum over x in
-    1..size, y in 1..n-size of C(n-1,x) * C(n-1-x,y-1).
-
-    Its value at n-1 coincides with middle_basis_bound(n, size); kept
-    only as a cross-check of that identity.
-    """
-    if not 1 <= size <= n - 1:
-        raise ValueError(f"size must be in 1..{n - 1}")
-    total = 1
-    for x in range(1, size + 1):
-        lead = math.comb(n - 1, x)
-        total += lead * sum(math.comb(n - 1 - x, y - 1) for y in range(1, n - size + 1))
-    return total
-
-
 def syntactic_complexity(d: Dfa, allow_large: bool = False) -> int:
     """Cardinality of the syntactic (= transition) semigroup of the
     minimal DFA of d's language."""
@@ -190,11 +181,15 @@ class AtomRow:
         return self.complexity == self.bound
 
 
-def atom_report(d: Dfa, suffix_free: bool = True) -> list:
-    """Per-basis complexities vs suffix-free bounds for a minimal DFA,
-    sorted by (basis size, basis) for determinism."""
+def atom_report(d: Dfa) -> list:
+    """Per-basis complexities vs suffix-free bounds, sorted by (basis
+    size, basis) for determinism.
+
+    The bounds read d's numbering as the witnesses' numbering: d is
+    minimal, with initial state 0 and empty state n-1.
+    """
     rows = []
-    for basis in atoms(d, suffix_free=suffix_free):
+    for basis in atoms(d):
         rows.append(
             AtomRow(
                 basis=tuple(sorted(basis)),

@@ -37,6 +37,8 @@ from .semigroups import (
 from .witnesses import binary_product_pair, d5, d6
 
 FORMATS = click.Choice(["json", "text", "csv"])
+#: A DFA interchange file, or "-" for stdin; a directory is a usage error.
+DFA_FILE = click.Path(exists=True, dir_okay=False, allow_dash=True)
 
 
 def _emit(text: str, out: str) -> None:
@@ -168,7 +170,7 @@ def witness_product_binary(m, n, fmt, dot, out):
                 type=click.Choice(["star", "concat", "reverse", "union",
                                    "intersection", "difference",
                                    "symmetric-difference"]))
-@click.argument("inputs", nargs=-1, type=click.Path(exists=True, allow_dash=True))
+@click.argument("inputs", nargs=-1, type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="json")
 @click.option("--dot", is_flag=True)
 @click.option("--out", default=None)
@@ -206,7 +208,7 @@ def semigroup() -> None:
 
 
 @semigroup.command("generate")
-@click.argument("input", type=click.Path(exists=True, allow_dash=True))
+@click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
 @click.option("--elements", "show_elements", is_flag=True,
@@ -233,7 +235,7 @@ def semigroup_generate(input, fmt, out, show_elements, budget_elements,
 
 
 @semigroup.command("classify")
-@click.argument("input", type=click.Path(exists=True, allow_dash=True))
+@click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
 @click.option("--allow-large", is_flag=True)
@@ -256,7 +258,7 @@ def semigroup_classify(input, fmt, out, allow_large):
 
 
 @semigroup.command("collisions")
-@click.argument("input", type=click.Path(exists=True, allow_dash=True))
+@click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
 @click.option("--allow-large", is_flag=True)
@@ -283,12 +285,11 @@ def atoms_group() -> None:
 
 
 @atoms_group.command("list")
-@click.argument("input", type=click.Path(exists=True, allow_dash=True))
+@click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
 def atoms_list(input, fmt, out):
-    """Bases of all atoms of the input's language (input must be a
-    minimal DFA)."""
+    """Bases of all atoms of the input's language."""
     d = _load_dfa(input)
     bases = sorted((sorted(b) for b in atoms_of(d)), key=lambda b: (len(b), b))
     if fmt == "json":
@@ -298,7 +299,7 @@ def atoms_list(input, fmt, out):
 
 
 @atoms_group.command("complexity")
-@click.argument("input", type=click.Path(exists=True, allow_dash=True))
+@click.argument("input", type=DFA_FILE)
 @click.option("--basis", required=True,
               help="comma-separated state list; empty string for the empty basis")
 @click.option("--format", "fmt", type=FORMATS, default="text")

@@ -183,7 +183,7 @@ def verify_reversal(n: int) -> ComplexityReport:
 def verify_atom_count(n: int) -> ComplexityReport:
     return _report(
         "atom-count", {"n": n}, asserted=n >= 4,
-        compute=lambda: len(atoms(d6(n), suffix_free=True)),
+        compute=lambda: len(atoms(d6(n))),
         bound=atom_count_bound(n),
     )
 

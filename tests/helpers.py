@@ -4,7 +4,7 @@ reference implementations used as oracles."""
 import random
 from itertools import product
 
-from suffixfree.automata import Dfa, Transformation
+from suffixfree.automata import Dfa, Transformation, minimize
 
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:
@@ -27,6 +27,59 @@ def reference_closure(generators) -> frozenset:
                 seen.add(u)
                 queue.append(u)
     return frozenset(seen)
+
+
+def _reference_atom_reachable(d: Dfa, basis: frozenset):
+    """BFS over the disjoint-pair construction on frozensets: reachable
+    states in discovery order (pairs (X, Y) plus possibly "bottom"),
+    transition rows per letter, and the final state indices."""
+    full = frozenset(range(d.state_count))
+    start = (basis, full - basis)
+    index = {start: 0}
+    order = [start]
+    rows = {a: [] for a in d.alphabet}
+    i = 0
+    while i < len(order):
+        state = order[i]
+        i += 1
+        for a in d.alphabet:
+            if state == "bottom":
+                nxt = "bottom"
+            else:
+                x, y = state
+                t = d.delta[a]
+                xa = frozenset(t[q] for q in x)
+                ya = frozenset(t[q] for q in y)
+                nxt = "bottom" if xa & ya else (xa, ya)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            rows[a].append(index[nxt])
+    finals = frozenset(
+        idx
+        for state, idx in index.items()
+        if state != "bottom" and state[0] <= d.finals and not (state[1] & d.finals)
+    )
+    return order, rows, finals
+
+
+def reference_atom_dfa(d: Dfa, basis) -> Dfa:
+    """Minimal atom DFA by the frozenset pair construction, independent
+    of the bitmask kernel behind atoms.atom_dfa."""
+    order, rows, finals = _reference_atom_reachable(d, frozenset(basis))
+    return minimize(Dfa(len(order), d.alphabet, rows, 0, finals))
+
+
+def reference_atoms(d: Dfa) -> frozenset:
+    """Atom bases by the exhaustive sweep: every one of the 2**n subsets
+    whose pair construction reaches a final state."""
+    n = d.state_count
+    found = []
+    for bits in range(1 << n):
+        basis = frozenset(q for q in range(n) if bits >> q & 1)
+        if _reference_atom_reachable(d, basis)[2]:
+            found.append(basis)
+    return frozenset(found)
 
 
 def random_dfa(rng: random.Random, n: int, letters: int) -> Dfa:

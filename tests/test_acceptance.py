@@ -152,7 +152,7 @@ def test_criterion_09_reversal():
 def test_criterion_10_atom_count():
     with criterion(10, "atom-count"):
         for n in range(4, 8):
-            count = len(atoms(d6(n), suffix_free=True))
+            count = len(atoms(d6(n)))
             assert count == 2 ** (n - 2) + 1
             assert count == quotient_complexity(reverse(d6(n)))
 
@@ -168,7 +168,7 @@ def test_criterion_11_atom_complexities():
         for n, column in tables.items():
             d = d6(n)
             maxima = {}
-            for basis in atoms(d, suffix_free=True):
+            for basis in atoms(d):
                 value = atom_complexity(d, basis)
                 assert value == suffix_free_atom_bound(n, basis)
                 size = len(basis)

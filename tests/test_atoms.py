@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -10,17 +11,16 @@ from suffixfree.atoms import (
     atom_report,
     atoms,
     is_atom,
-    left_ideal_atom_bound,
     middle_basis_bound,
     suffix_free_atom_bound,
     syntactic_complexity,
 )
-from suffixfree.automata import BudgetError, Dfa, minimize, quotient_complexity
+from suffixfree.automata import Dfa, minimize, quotient_complexity
 from suffixfree.langops import BooleanOp, boolean, equivalent, reverse
 from suffixfree.semigroups import wsf_cardinality
 from suffixfree.witnesses import d6
 
-from helpers import random_dfa
+from helpers import random_dfa, reference_atom_dfa, reference_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_max_atom_complexity_per_family():
     for n, expected in cases.items():
         d = d6(n)
         assert max(atom_complexity(d, s)
-                   for s in atoms(d, suffix_free=True)) == expected
+                   for s in atoms(d)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_atoms_of_sigma_star():
 
 
 def test_atom_count_of_d6():
-    assert len(atoms(d6(6), suffix_free=True)) == 2 ** 4 + 1 == 17
+    assert len(atoms(d6(6))) == 2 ** 4 + 1 == 17
 
 
 def test_atom_count_equals_reverse_complexity():
@@ -80,25 +80,45 @@ def test_atom_count_equals_reverse_complexity():
         done += 1
 
 
-def test_atoms_budget():
+def test_atoms_of_a_21_state_cycle():
     d = Dfa(21, ("a",), {"a": tuple((q + 1) % 21 for q in range(21))}, 0, {0})
-    with pytest.raises(BudgetError):
-        atoms(d)
+    assert atoms(d) == frozenset(frozenset({q}) for q in range(21))
 
 
-def test_suffix_free_prune_matches_full_sweep():
-    for n in (4, 5, 6):
+def test_atoms_match_reference_sweep_on_d6():
+    for n in range(4, 9):
         d = d6(n)
-        assert atoms(d, suffix_free=True) == atoms(d, suffix_free=False)
+        assert atoms(d) == reference_atoms(d)
 
 
-def test_suffix_free_prune_finds_sink_and_initial_after_minimize():
+def test_atoms_match_reference_sweep_after_minimize():
     # Minimization numbers states in BFS order, so the sink is not n-1.
     m = minimize(d6(6))
     assert m.state_count == 6
-    pruned = atoms(m, suffix_free=True)
-    assert pruned == atoms(m, suffix_free=False)
-    assert len(pruned) == 17
+    found = atoms(m)
+    assert found == reference_atoms(m)
+    assert len(found) == 17
+
+
+def test_atoms_match_reference_sweep_on_random_dfas():
+    # Not minimized: unreachable and equivalent states stay in.
+    rng = random.Random(41)
+    for _ in range(40):
+        d = random_dfa(rng, rng.randrange(1, 8), rng.randrange(1, 4))
+        found = atoms(d)
+        assert found == reference_atoms(d)
+        for basis in found:
+            assert atom_dfa(d, basis).to_dict() == reference_atom_dfa(d, basis).to_dict()
+    for _ in range(10):
+        d = minimize(random_dfa(rng, rng.randrange(2, 8), 2))
+        assert atoms(d) == reference_atoms(d)
+
+
+def test_atom_dfa_matches_reference_construction():
+    for n in (5, 6):
+        d = d6(n)
+        for basis in atoms(d):
+            assert atom_dfa(d, basis).to_dict() == reference_atom_dfa(d, basis).to_dict()
 
 
 def test_atoms_are_pairwise_disjoint():
@@ -136,7 +156,7 @@ def test_quotients_are_unions_of_atoms():
 
 def test_suffix_free_atom_basis_shapes():
     for n in (4, 5, 6):
-        for s in atoms(d6(n), suffix_free=False):
+        for s in atoms(d6(n)):
             assert n - 1 not in s
             if 0 in s:
                 assert s == {0}
@@ -167,6 +187,18 @@ def test_middle_basis_bound_range_check():
         middle_basis_bound(5, 0)
     with pytest.raises(ValueError):
         middle_basis_bound(5, 4)
+
+
+def left_ideal_atom_bound(n: int, size: int) -> int:
+    """Atom bound for left ideals, middle case: 1 + sum over x in
+    1..size, y in 1..n-size of C(n-1,x) * C(n-1-x,y-1)."""
+    if not 1 <= size <= n - 1:
+        raise ValueError(f"size must be in 1..{n - 1}")
+    total = 1
+    for x in range(1, size + 1):
+        lead = math.comb(n - 1, x)
+        total += lead * sum(math.comb(n - 1 - x, y - 1) for y in range(1, n - size + 1))
+    return total
 
 
 def test_left_ideal_bound_shift_identity():

@@ -218,3 +218,20 @@ def test_malformed_interchange_exit_two(tmp_path, monkeypatch, capsys,
         run()
     assert exc.value.code == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["op", "star"],
+    ["semigroup", "generate"],
+    ["semigroup", "classify"],
+    ["semigroup", "collisions"],
+    ["atoms", "list"],
+    ["atoms", "complexity", "--basis", ""],
+], ids=lambda command: " ".join(command[:2]))
+def test_directory_input_exit_two(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "argv", ["sfc", *command[:2], str(tmp_path),
+                                      *command[2:]])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
+    assert "is a directory" in capsys.readouterr().err

@@ -90,6 +90,13 @@ def test_atom_table_by_construction():
         assert r.measure == "atom-table"
 
 
+def test_atom_table_by_construction_at_n8():
+    reports = verify_atom_table(8, construct=True)
+    assert all(r.met and r.asserted for r in reports)
+    assert all(r.measure == "atom-table" for r in reports)
+    assert tuple(r.computed for r in reports) == ATOM_TABLE[8]
+
+
 def test_atom_table_by_formula_for_large_n():
     for n in (8, 9):
         reports = verify_atom_table(n)
