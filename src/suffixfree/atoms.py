@@ -13,26 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import Dfa, minimize, quotient_complexity
+from .automata import Dfa, _mask, _subsets, _union, minimize, quotient_complexity
 from .semigroups import transition_semigroup
 
 #: Sink of the atom DFA, entered when the tracked subset pair collides;
 #: no packed pair is negative.
 _BOTTOM = -1
-
-
-def _mask(states) -> int:
-    return sum(1 << q for q in states)
-
-
-def _union(rows: list, mask: int) -> int:
-    """OR of rows[q] over the states q in mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _raw_atom_dfa(d: Dfa, basis) -> Dfa:
@@ -107,15 +93,7 @@ def atoms(d: Dfa) -> frozenset:
         for q, r in enumerate(d.delta[a]):
             pre[r] |= 1 << q
         preimages.append(pre)
-    start = _mask(d.finals)
-    seen = {start}
-    order = [start]
-    for s in order:
-        for pre in preimages:
-            t = _union(pre, s)
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
+    order, _ = _subsets(_mask(d.finals), preimages)
     return frozenset(frozenset(q for q in range(n) if s >> q & 1) for s in order)
 
 
@@ -185,16 +163,25 @@ def atom_report(d: Dfa) -> list:
     """Per-basis complexities vs suffix-free bounds, sorted by (basis
     size, basis) for determinism.
 
-    The bounds read d's numbering as the witnesses' numbering: d is
-    minimal, with initial state 0 and empty state n-1.
+    d is minimal.  The bounds number the states as the witnesses do,
+    so d's initial state is read as 0 and its one empty state as n-1;
+    a DFA without exactly one empty state raises ValueError.
     """
+    n = d.state_count
+    empty = d.empty_states()
+    if len(empty) != 1:
+        raise ValueError(f"atom_report needs exactly one empty state, "
+                         f"found {len(empty)}: {empty}")
+    middles = [q for q in range(n) if q not in (d.initial, empty[0])]
+    label = {q: i for i, q in enumerate(middles, 1)}
+    label.update({d.initial: 0, empty[0]: n - 1})
     rows = []
     for basis in atoms(d):
         rows.append(
             AtomRow(
                 basis=tuple(sorted(basis)),
                 complexity=atom_complexity(d, basis),
-                bound=suffix_free_atom_bound(d.state_count, basis),
+                bound=suffix_free_atom_bound(n, {label[q] for q in basis}),
             )
         )
     rows.sort(key=lambda r: (len(r.basis), r.basis))

@@ -15,11 +15,6 @@ from typing import Iterable, Mapping, Sequence
 #: Marker for empty-word transitions in an Nfa.
 EPSILON = ""
 
-#: A subset of 0..n-1.  Plain frozensets: capacity is unbounded, which
-#: comfortably covers the documented minimum of 64 states per automaton
-#: and 2**n subset states for n <= 20.
-StateSet = frozenset
-
 
 class BudgetError(ValueError):
     """Raised when a computation would exceed its stated size budget."""
@@ -231,23 +226,41 @@ def word_transformation(d: Dfa, word: Sequence[str]) -> Transformation:
     return t
 
 
-def _edge_map(n: Nfa) -> dict:
-    by_src: dict = {}
-    for src, a, dst in n.transitions:
-        by_src.setdefault((src, a), set()).add(dst)
-    return by_src
+def _mask(states) -> int:
+    return sum(1 << q for q in states)
 
 
-def _eps_closure(states: frozenset, by_src: dict) -> frozenset:
-    stack = list(states)
-    seen = set(states)
-    while stack:
-        q = stack.pop()
-        for r in by_src.get((q, EPSILON), ()):
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return frozenset(seen)
+def _union(rows: list, mask: int) -> int:
+    """OR of rows[q] over the states q in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _subsets(start: int, tables: list) -> tuple:
+    """Reachable-subset BFS over int bitmasks, the one subset
+    construction of the package.
+
+    One step through table t maps a subset S to the OR of t[q] over
+    the q in S; tables are scanned in the given order.  Returns the
+    subsets in discovery order and, per table, the row of successor
+    indices.
+    """
+    index = {start: 0}
+    order = [start]
+    rows = [[] for _ in tables]
+    for s in order:
+        for table, row in zip(tables, rows):
+            nxt = _union(table, s)
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(i)
+    return order, rows
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -257,27 +270,24 @@ def determinize(n: Nfa) -> Dfa:
     sink so the result is complete.  Result states are numbered in BFS
     discovery order with letters scanned in alphabet order.
     """
-    by_src = _edge_map(n)
-    start = _eps_closure(n.initials, by_src)
-    index = {start: 0}
-    order = [start]
-    queue = deque([start])
-    rows: dict = {a: [] for a in n.alphabet}
-    while queue:
-        s = queue.popleft()
-        for a in n.alphabet:
-            nxt = set()
-            for q in s:
-                nxt |= by_src.get((q, a), set())
-            nxt = _eps_closure(frozenset(nxt), by_src)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            rows[a].append(index[nxt])
-    delta = {a: Transformation(rows[a]) for a in n.alphabet}
-    finals = frozenset(i for s, i in index.items() if s & n.finals)
-    return Dfa(len(order), n.alphabet, delta, 0, finals)
+    k = n.state_count
+    succ = {a: [0] * k for a in (EPSILON,) + n.alphabet}
+    for src, a, dst in n.transitions:
+        succ[a][src] |= 1 << dst
+    closure = []
+    for q in range(k):
+        reach = frontier = 1 << q
+        while frontier:
+            frontier = _union(succ[EPSILON], frontier) & ~reach
+            reach |= frontier
+        closure.append(reach)
+    # Closure distributes over union, so stepping a closed subset
+    # through the closed successors of its states keeps it closed.
+    tables = [[_union(closure, m) for m in succ[a]] for a in n.alphabet]
+    order, rows = _subsets(_union(closure, _mask(n.initials)), tables)
+    f = _mask(n.finals)
+    finals = [i for i, s in enumerate(order) if s & f]
+    return Dfa(len(order), n.alphabet, dict(zip(n.alphabet, rows)), 0, finals)
 
 
 def _reachable(d: Dfa) -> list:

@@ -18,7 +18,6 @@ from .automata import (
     Nfa,
     Transformation,
     determinize,
-    is_isomorphic,
     minimize,
 )
 from .semigroups import BSF, is_subsemigroup_of, transition_semigroup
@@ -244,8 +243,3 @@ def suffix_free_report(d: Dfa) -> SuffixFreeReport:
     # bsf is defined only for degree >= 2; a one-state language fails it.
     in_b = ts.degree >= 2 and is_subsemigroup_of(ts, BSF)
     return SuffixFreeReport(suffix_free=sf, semigroup_in_bsf=in_b)
-
-
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equivalence of two DFAs over the same letter set."""
-    return is_isomorphic(d1, d2)

@@ -270,9 +270,20 @@ def is_subsemigroup_of(s: TransitionSemigroup, cls: str) -> bool:
 def colliding_pairs(s: TransitionSemigroup) -> frozenset:
     """Unordered middle-state pairs {p,q} such that some element sends 0
     to p while sending another middle state to q."""
-    n = s.degree
+    return _colliding_pairs(s.degree, s.elements)
+
+
+def focused_pairs(s: TransitionSemigroup) -> frozenset:
+    """Unordered middle-state pairs merged by some element into a common
+    middle (non-sink, non-initial) state."""
+    return _focused_pairs(s.degree, s.elements)
+
+
+def _colliding_pairs(n: int, elements) -> frozenset:
+    """colliding_pairs on images of degree n: Transformations or the
+    bytes of the closure kernel."""
     pairs = set()
-    for t in s.elements:
+    for t in elements:
         p = t[0]
         if p == n - 1 or p == 0:
             continue
@@ -283,12 +294,11 @@ def colliding_pairs(s: TransitionSemigroup) -> frozenset:
     return frozenset(pairs)
 
 
-def focused_pairs(s: TransitionSemigroup) -> frozenset:
-    """Unordered middle-state pairs merged by some element into a common
-    middle (non-sink, non-initial) state."""
-    n = s.degree
+def _focused_pairs(n: int, elements) -> frozenset:
+    """focused_pairs on images of degree n: Transformations or the
+    bytes of the closure kernel."""
     pairs = set()
-    for t in s.elements:
+    for t in elements:
         targets: dict = {}
         for q in range(1, n - 1):
             targets.setdefault(t[q], []).append(q)

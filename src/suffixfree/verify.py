@@ -23,9 +23,9 @@ from .semigroups import (
     WSF,
     TransitionSemigroup,
     _close,
-    colliding_pairs,
+    _colliding_pairs,
+    _focused_pairs,
     enumerate_class,
-    focused_pairs,
     generate,
     is_subsemigroup_of,
     transition_semigroup,
@@ -362,11 +362,10 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
                 continue
             found += 1
             best = max(best, len(elements))
-            if all_middle_pairs:
-                sg = TransitionSemigroup(n, frozenset(elements))
-                if (colliding_pairs(sg) == all_middle_pairs
-                        and focused_pairs(sg) == all_middle_pairs):
-                    any_both = True
+            if (all_middle_pairs
+                    and _colliding_pairs(n, elements) == all_middle_pairs
+                    and _focused_pairs(n, elements) == all_middle_pairs):
+                any_both = True
     return SearchReport(
         degree=n,
         generator_cap=cap,

@@ -100,22 +100,9 @@ def d6(n: int, dialect: str = None) -> Dfa:
     if dialect is None:
         letters = ("b", "c", "d", "e") if n == 4 else ("a", "b", "c", "d", "e")
         return Dfa(n, letters, {x: roles[x] for x in letters}, 0, finals)
-    parts = [p.strip() for p in dialect.split(",")]
-    if len(parts) != 5:
-        raise ValueError(f"d6 dialect needs 5 entries, got {dialect!r}")
-    alphabet = []
-    delta = {}
-    defined = [p for p in parts if p != "-"]
-    if len(set(defined)) != len(defined):
-        raise ValueError("defined part of a dialect must be injective")
-    if not set(defined) <= {"a", "b", "c", "d", "e"}:
-        raise ValueError("dialect letters must come from a..e")
-    for role, letter in zip("abcde", parts):
-        if letter == "-":
-            continue
-        alphabet.append(letter)
-        delta[letter] = roles[role]
-    return Dfa(n, alphabet, delta, 0, finals)
+    pi = PartialPermutation.parse(dialect, "abcde")
+    delta = {pi.mapping[r]: roles[r] for r in "abcde" if pi.mapping[r]}
+    return Dfa(n, tuple(delta), delta, 0, finals)
 
 
 def binary_product_pair(m: int, n: int):

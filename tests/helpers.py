@@ -2,9 +2,10 @@
 reference implementations used as oracles."""
 
 import random
+from collections import deque
 from itertools import product
 
-from suffixfree.automata import Dfa, Transformation, minimize
+from suffixfree.automata import EPSILON, Dfa, Nfa, Transformation, minimize
 
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:
@@ -27,6 +28,63 @@ def reference_closure(generators) -> frozenset:
                 seen.add(u)
                 queue.append(u)
     return frozenset(seen)
+
+
+def _edge_map(n: Nfa) -> dict:
+    by_src: dict = {}
+    for src, a, dst in n.transitions:
+        by_src.setdefault((src, a), set()).add(dst)
+    return by_src
+
+
+def _eps_closure(states: frozenset, by_src: dict) -> frozenset:
+    stack = list(states)
+    seen = set(states)
+    while stack:
+        q = stack.pop()
+        for r in by_src.get((q, EPSILON), ()):
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return frozenset(seen)
+
+
+def reference_determinize(n: Nfa) -> Dfa:
+    """Subset construction on frozensets, with an epsilon closure
+    recomputed at every step; independent of the bitmask kernel behind
+    automata.determinize.  Same BFS numbering and letter order."""
+    by_src = _edge_map(n)
+    start = _eps_closure(n.initials, by_src)
+    index = {start: 0}
+    order = [start]
+    queue = deque([start])
+    rows: dict = {a: [] for a in n.alphabet}
+    while queue:
+        s = queue.popleft()
+        for a in n.alphabet:
+            nxt = set()
+            for q in s:
+                nxt |= by_src.get((q, a), set())
+            nxt = _eps_closure(frozenset(nxt), by_src)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            rows[a].append(index[nxt])
+    delta = {a: Transformation(rows[a]) for a in n.alphabet}
+    finals = frozenset(i for s, i in index.items() if s & n.finals)
+    return Dfa(len(order), n.alphabet, delta, 0, finals)
+
+
+def random_nfa(rng: random.Random, n: int, letters: int) -> Nfa:
+    """An epsilon-NFA on n states (n may be 0); initials and finals may
+    be empty."""
+    alphabet = tuple("abcdefgh"[:letters])
+    triples = [(p, a, q) for p in range(n) for a in (EPSILON,) + alphabet
+               for q in range(n) if rng.random() < 0.8 / n]
+    initials = rng.sample(range(n), min(n, rng.choice((0, 1, 1, 2, 3))))
+    finals = [q for q in range(n) if rng.random() < 0.4]
+    return Nfa(n, alphabet, triples, initials, finals)
 
 
 def _reference_atom_reachable(d: Dfa, basis: frozenset):

@@ -15,8 +15,8 @@ from suffixfree.atoms import (
     suffix_free_atom_bound,
     syntactic_complexity,
 )
-from suffixfree.automata import Dfa, minimize, quotient_complexity
-from suffixfree.langops import BooleanOp, boolean, equivalent, reverse
+from suffixfree.automata import Dfa, is_isomorphic, minimize, quotient_complexity
+from suffixfree.langops import BooleanOp, boolean, reverse
 from suffixfree.semigroups import wsf_cardinality
 from suffixfree.witnesses import d6
 
@@ -151,7 +151,7 @@ def test_quotients_are_unions_of_atoms():
                 # a state in no atom basis has an empty quotient
                 assert not m.finals
             else:
-                assert equivalent(m, union)
+                assert is_isomorphic(m, union)
 
 
 def test_suffix_free_atom_basis_shapes():
@@ -225,10 +225,20 @@ def test_syntactic_complexity_of_d6():
 
 def test_atom_report_meets_bounds_for_d6():
     for n in range(4, 8):
-        rows = atom_report(d6(n))
-        assert all(row.met for row in rows)
-        assert len(rows) == 2 ** (n - 2) + 1
-        assert rows == sorted(rows, key=lambda r: (len(r.basis), r.basis))
+        # minimize numbers the empty state of d6(n) 1, not n-1.
+        for d in (d6(n), minimize(d6(n))):
+            rows = atom_report(d)
+            assert all(row.met for row in rows)
+            assert len(rows) == len(atoms(d)) == 2 ** (n - 2) + 1
+            assert rows == sorted(rows, key=lambda r: (len(r.basis), r.basis))
+
+
+def test_atom_report_needs_exactly_one_empty_state():
+    no_empty = Dfa(2, ("a",), {"a": (1, 0)}, 0, {1})
+    two_empty = Dfa(4, ("a",), {"a": (1, 2, 2, 3)}, 0, {1})
+    for d in (no_empty, two_empty):
+        with pytest.raises(ValueError, match="exactly one empty state"):
+            atom_report(d)
 
 
 def test_atom_row_met_property():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from suffixfree import langops
 from suffixfree.automata import (
     Dfa,
     Nfa,
@@ -17,7 +18,13 @@ from suffixfree.automata import (
 )
 from suffixfree.witnesses import d5, d6
 
-from helpers import brute_force_state_count, random_dfa, random_transformation
+from helpers import (
+    brute_force_state_count,
+    random_dfa,
+    random_nfa,
+    random_transformation,
+    reference_determinize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +175,31 @@ def test_determinize_keeps_empty_subset_as_sink():
     out = determinize(n)
     assert out.state_count == 2
     assert quotient_complexity(out) == 2
+
+
+def test_determinize_matches_reference_on_random_nfas():
+    rng = random.Random(4)
+    for _ in range(400):
+        n = random_nfa(rng, rng.randrange(9), rng.randrange(1, 4))
+        assert determinize(n).to_dict() == reference_determinize(n).to_dict()
+
+
+def test_determinize_matches_reference_on_witness_nfas(monkeypatch):
+    nfas = []
+
+    def recording(n):
+        nfas.append(n)
+        return determinize(n)
+
+    monkeypatch.setattr(langops, "determinize", recording)
+    for n in range(6, 11):
+        langops.star(d5(n, "a,b,-"))
+        langops.concat(d5(n), d5(6, "b,c,a"))
+        langops.reverse(d6(n))
+        langops.is_suffix_free(d6(n))
+    assert len(nfas) == 20
+    for n in nfas:
+        assert determinize(n).to_dict() == reference_determinize(n).to_dict()
 
 
 # ---------------------------------------------------------------------------

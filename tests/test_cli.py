@@ -1,12 +1,15 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
-from suffixfree.automata import Dfa
+import suffixfree
+from suffixfree.automata import Dfa, is_isomorphic
 from suffixfree.cli import main, run
-from suffixfree.langops import equivalent, star
+from suffixfree.langops import star
 from suffixfree.witnesses import d5, d6
 
 
@@ -17,6 +20,16 @@ def runner():
 
 def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), **kwargs)
+
+
+def run_module(*args):
+    """Run `python -m suffixfree.cli` in a fresh interpreter that imports
+    the same suffixfree package as this test, installed or not."""
+    src = os.path.dirname(os.path.dirname(suffixfree.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "suffixfree.cli", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +84,7 @@ def test_op_star(runner, tmp_path):
     assert result.exit_code == 0
     out = Dfa.from_dict(json.loads(result.output))
     assert out.state_count == 17
-    assert equivalent(out, star(d5(6, "a,b,-")))
+    assert is_isomorphic(out, star(d5(6, "a,b,-")))
 
 
 def test_op_union(runner, tmp_path):
@@ -168,11 +181,7 @@ def test_verify_star_exit_zero(runner):
 
 def test_verify_unknown_measure_exit_two(runner):
     # run through the top-level handler to observe the mapped exit code
-    import subprocess
-    import sys
-    proc = subprocess.run(
-        [sys.executable, "-m", "suffixfree.cli", "verify", "squaring", "--n", "6"],
-        capture_output=True, text=True)
+    proc = run_module("verify", "squaring", "--n", "6")
     assert proc.returncode == 2
 
 
@@ -194,11 +203,7 @@ def test_search_command(runner):
 
 
 def test_search_budget_exit_two(runner):
-    import subprocess
-    import sys
-    proc = subprocess.run(
-        [sys.executable, "-m", "suffixfree.cli", "search", "--n", "7"],
-        capture_output=True, text=True)
+    proc = run_module("search", "--n", "7")
     assert proc.returncode == 2
     assert "budget" in proc.stderr.lower()
 

@@ -19,7 +19,6 @@ from suffixfree.langops import (
     complement,
     concat,
     concat_full,
-    equivalent,
     is_suffix_free,
     reverse,
     star,
@@ -146,7 +145,7 @@ def test_star_language_membership():
 def test_concat_left_identity():
     d = d6(5)
     out = concat(epsilon_language(d.alphabet), d)
-    assert equivalent(out, d)
+    assert is_isomorphic(out, d)
 
 
 def test_concat_ternary_witness_pair():
@@ -170,7 +169,7 @@ def test_concat_rejects_alphabet_mismatch():
 def test_reverse_single_word():
     ab = word_language("ab", ("a", "b"))
     ba = word_language("ba", ("a", "b"))
-    assert equivalent(reverse(ab), ba)
+    assert is_isomorphic(reverse(ab), ba)
 
 
 def test_double_reverse_preserves_complexity():

@@ -1,7 +1,9 @@
 import pytest
 
-from suffixfree.automata import Transformation
+from suffixfree.automata import Dfa, Transformation
+from suffixfree.langops import PartialPermutation, apply_dialect
 from suffixfree.witnesses import (
+    _d6_roles,
     binary_product_pair,
     d5,
     d6,
@@ -70,6 +72,17 @@ def test_d6_n_4_drops_letter_a():
     # roles a and b coincide at n = 4; a dialect may still name role a
     aliased = d6(4, "a,b,-,d,e")
     assert aliased.delta["a"] == d.delta["b"]
+
+
+@pytest.mark.parametrize("dialect", [
+    "a,b,c,d,e", "a,b,-,d,e", "a,-,c,-,e", "-,-,-,-,a", "e,d,c,b,a",
+    "b,c,a,-,-",
+])
+def test_d6_dialect_matches_apply_dialect(dialect):
+    for n in range(4, 9):
+        base = Dfa(n, "abcde", _d6_roles(n), 0, d6(n).finals)
+        pi = PartialPermutation.parse(dialect, "abcde")
+        assert d6(n, dialect).to_dict() == apply_dialect(base, pi).to_dict()
 
 
 def test_d6_rejects_bad_input():
