@@ -13,68 +13,75 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import Dfa, _mask, _subsets, _union, minimize, quotient_complexity
+from .automata import Dfa, _mask, _refine, _subsets, minimize
 from .semigroups import transition_semigroup
 
-#: Sink of the atom DFA, entered when the tracked subset pair collides;
-#: no packed pair is negative.
-_BOTTOM = -1
+
+def _subset_images(image: list) -> list:
+    """OR of image[q] over the q in each subset of range(len(image)),
+    indexed by the subset's bitmask."""
+    table = [0]
+    for bits in image:
+        table += [t | bits for t in table]
+    return table
 
 
-def _raw_atom_dfa(d: Dfa, basis) -> Dfa:
+def _atom_pairs(d: Dfa, basis) -> tuple:
     """Atom DFA before minimization, over disjoint subset pairs (X, Y).
 
     X tracks the images of the basis and Y those of its complement,
-    both as int bitmasks packed into one key Y << n | X; the pair
-    collapses to a sink as soon as they collide.  (X, Y) is final when
-    X lies inside d.finals and Y misses it.  States are numbered in BFS
-    discovery order with letters in alphabet order.
+    both as int bitmasks packed into one key Y << n | X.  A pair whose
+    parts collide goes to the sink, kept as the pair (Q, Q), which every
+    letter maps to itself.  (X, Y) is final when X lies inside d.finals
+    and Y misses it.  States are numbered in BFS discovery order with
+    letters in alphabet order.  Returns the state count, one successor
+    row per letter and the final states.
     """
     basis = frozenset(basis)
     n = d.state_count
     if any(not 0 <= q < n for q in basis):
         raise ValueError("basis must be a subset of the state set")
     full = (1 << n) - 1
-    images = [[1 << r for r in d.delta[a]] for a in d.alphabet]
-    # Per-letter images of subsets: the same X or Y recurs in many pairs.
-    memos = [{} for _ in d.alphabet]
+    sink = full << n | full
+    # A subset's image is the OR of two table entries, one per half of
+    # the states, so each letter's tables hold 2 * 2**(n/2) entries.
+    h = n // 2
+    low = (1 << h) - 1
+    halves = []
+    for a in d.alphabet:
+        image = [1 << r for r in d.delta[a]]
+        halves.append((_subset_images(image[:h]), _subset_images(image[h:])))
     b = _mask(basis)
     index = {(full ^ b) << n | b: 0}
     order = list(index)
     rows = [[] for _ in d.alphabet]
     for state in order:
-        for image, memo, row in zip(images, memos, rows):
-            nxt = _BOTTOM
-            if state != _BOTTOM:
-                x = state & full
-                xa = memo.get(x)
-                if xa is None:
-                    xa = memo[x] = _union(image, x)
-                y = state >> n
-                ya = memo.get(y)
-                if ya is None:
-                    ya = memo[y] = _union(image, y)
-                if not xa & ya:
-                    nxt = ya << n | xa
-            if nxt not in index:
-                index[nxt] = len(order)
+        x, y = state & full, state >> n
+        xl, xh, yl, yh = x & low, x >> h, y & low, y >> h
+        for (lo, hi), row in zip(halves, rows):
+            xa = lo[xl] | hi[xh]
+            ya = lo[yl] | hi[yh]
+            nxt = sink if xa & ya else ya << n | xa
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(order)
                 order.append(nxt)
-            row.append(index[nxt])
+            row.append(i)
     f = _mask(d.finals)
-    finals = [i for i, state in enumerate(order)
-              if state != _BOTTOM and not state & full & ~f and not state >> n & f]
-    return Dfa(len(order), d.alphabet, dict(zip(d.alphabet, rows)), 0, finals)
+    finals = [i for i, s in enumerate(order) if not s & full & ~f and not s >> n & f]
+    return len(order), rows, finals
 
 
 def atom_dfa(d: Dfa, basis) -> Dfa:
     """Minimal DFA of the atomic intersection with the given basis."""
-    return minimize(_raw_atom_dfa(d, basis))
+    m, rows, finals = _atom_pairs(d, basis)
+    return minimize(Dfa(m, d.alphabet, dict(zip(d.alphabet, rows)), 0, finals))
 
 
 def is_atom(d: Dfa, basis) -> bool:
     """Non-emptiness of the atomic intersection, by reachability of a
     final state in the raw construction."""
-    return bool(_raw_atom_dfa(d, basis).finals)
+    return bool(_atom_pairs(d, basis)[2])
 
 
 def atoms(d: Dfa) -> frozenset:
@@ -100,11 +107,12 @@ def atoms(d: Dfa) -> frozenset:
 def atom_complexity(d: Dfa, basis) -> int:
     """Quotient complexity of the atom with the given basis."""
     basis = frozenset(basis)
-    raw = _raw_atom_dfa(d, basis)
-    if not raw.finals:
+    m, rows, finals = _atom_pairs(d, basis)
+    if not finals:
         raise ValueError(f"{sorted(basis)} is not an atom basis: "
                          "the atomic intersection is empty")
-    return quotient_complexity(raw)
+    finals = set(finals)
+    return _refine(rows, [int(i in finals) for i in range(m)])[1]
 
 
 def middle_basis_bound(n: int, size: int) -> int:

@@ -8,7 +8,6 @@ and every operation is a pure function.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -291,17 +290,15 @@ def determinize(n: Nfa) -> Dfa:
 
 
 def _reachable(d: Dfa) -> list:
+    rows = [d.delta[a] for a in d.alphabet]
     seen = {d.initial}
     order = [d.initial]
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for a in d.alphabet:
-            r = d.delta[a][q]
+    for q in order:
+        for row in rows:
+            r = row[q]
             if r not in seen:
                 seen.add(r)
                 order.append(r)
-                queue.append(r)
     return order
 
 
@@ -319,46 +316,54 @@ def canonicalize(d: Dfa) -> Dfa:
     return Dfa(d.state_count, d.alphabet, delta, 0, finals)
 
 
+def _refine(succ: list, block: list) -> tuple:
+    """Moore partition refinement over states 0..m-1.
+
+    succ holds one successor row per letter and block the class of
+    each state in the starting partition.  Returns the coarsest stable
+    refinement, classes numbered by first appearance, and the number
+    of classes.
+    """
+    count = len(set(block))
+    while True:
+        sigs: dict = {}
+        block = [sigs.setdefault(sig, len(sigs))
+                 for sig in zip(block, *[map(block.__getitem__, s) for s in succ])]
+        if len(sigs) == count:
+            return block, count
+        count = len(sigs)
+
+
+def _classes(d: Dfa) -> tuple:
+    """Nerode classes of the reachable part of d: the reachable states
+    in BFS order, the class of each by position in that order, and the
+    number of classes."""
+    order = _reachable(d)
+    pos = {q: i for i, q in enumerate(order)}
+    succ = [[pos[r] for r in map(d.delta[a].__getitem__, order)] for a in d.alphabet]
+    block, count = _refine(succ, [int(q in d.finals) for q in order])
+    return order, block, count
+
+
 def minimize(d: Dfa) -> Dfa:
     """Minimal DFA of the same language, in canonical (BFS) numbering.
 
     Moore partition refinement on the reachable part.
     """
-    order = _reachable(d)
-    states = order
-    block = {q: (1 if q in d.finals else 0) for q in states}
-    n_blocks = len(set(block.values()))
-    while True:
-        sigs = {}
-        new_block = {}
-        for q in states:
-            sig = (block[q],) + tuple(block[d.delta[a][q]] for a in d.alphabet)
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block[q] = sigs[sig]
-        if len(sigs) == n_blocks:
-            break
-        block = new_block
-        n_blocks = len(sigs)
-    reps: dict = {}
-    for q in states:
-        reps.setdefault(block[q], q)
-    m = n_blocks
-    ids = {b: i for i, b in enumerate(sorted(reps))}
-    delta = {}
-    for a in d.alphabet:
-        row = [0] * m
-        for b, q in reps.items():
-            row[ids[b]] = ids[block[d.delta[a][q]]]
-        delta[a] = Transformation(row)
-    finals = frozenset(ids[b] for b, q in reps.items() if q in d.finals)
-    quotient = Dfa(m, d.alphabet, delta, ids[block[d.initial]], finals)
-    return canonicalize(quotient)
+    order, block, m = _classes(d)
+    block_of = dict(zip(order, block))
+    reps = {}
+    for q, b in zip(order, block):
+        reps.setdefault(b, q)
+    delta = {a: Transformation(block_of[d.delta[a][reps[b]]] for b in range(m))
+             for a in d.alphabet}
+    finals = frozenset(b for b, q in reps.items() if q in d.finals)
+    return canonicalize(Dfa(m, d.alphabet, delta, block_of[d.initial], finals))
 
 
 def quotient_complexity(d: Dfa) -> int:
     """Number of states of the minimal DFA (= number of left quotients)."""
-    return minimize(d).state_count
+    return _classes(d)[2]
 
 
 def _canonical_key(d: Dfa, letter_order: tuple) -> tuple:

@@ -5,7 +5,8 @@ import random
 from collections import deque
 from itertools import product
 
-from suffixfree.automata import EPSILON, Dfa, Nfa, Transformation, minimize
+from suffixfree.automata import (
+    EPSILON, Dfa, Nfa, Transformation, canonicalize, minimize)
 
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:
@@ -145,6 +146,50 @@ def random_dfa(rng: random.Random, n: int, letters: int) -> Dfa:
     delta = {a: random_transformation(rng, n) for a in alphabet}
     finals = frozenset(q for q in range(n) if rng.random() < 0.5)
     return Dfa(n, alphabet, delta, 0, finals)
+
+
+def reference_minimize(d: Dfa) -> Dfa:
+    """Moore refinement on tuple signatures over dicts, independent of
+    the list-based refinement behind automata.minimize; the quotient is
+    renumbered by canonicalize, so the result is the canonical one."""
+    order = [d.initial]
+    for q in order:
+        for a in d.alphabet:
+            if d.delta[a][q] not in order:
+                order.append(d.delta[a][q])
+    block = {q: (1 if q in d.finals else 0) for q in order}
+    n_blocks = len(set(block.values()))
+    while True:
+        sigs = {}
+        new_block = {}
+        for q in order:
+            sig = (block[q],) + tuple(block[d.delta[a][q]] for a in d.alphabet)
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            new_block[q] = sigs[sig]
+        if len(sigs) == n_blocks:
+            break
+        block = new_block
+        n_blocks = len(sigs)
+    reps: dict = {}
+    for q in order:
+        reps.setdefault(block[q], q)
+    ids = {b: i for i, b in enumerate(sorted(reps))}
+    delta = {}
+    for a in d.alphabet:
+        row = [0] * n_blocks
+        for b, q in reps.items():
+            row[ids[b]] = ids[block[d.delta[a][q]]]
+        delta[a] = row
+    finals = frozenset(ids[b] for b, q in reps.items() if q in d.finals)
+    return canonicalize(Dfa(n_blocks, d.alphabet, delta,
+                            ids[block[d.initial]], finals))
+
+
+def reference_raw_atom_dfa(d: Dfa, basis) -> Dfa:
+    """The frozenset pair construction before minimization."""
+    order, rows, finals = _reference_atom_reachable(d, frozenset(basis))
+    return Dfa(len(order), d.alphabet, rows, 0, finals)
 
 
 def brute_force_state_count(d: Dfa) -> int:

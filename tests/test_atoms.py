@@ -20,7 +20,13 @@ from suffixfree.langops import BooleanOp, boolean, reverse
 from suffixfree.semigroups import wsf_cardinality
 from suffixfree.witnesses import d6
 
-from helpers import random_dfa, reference_atom_dfa, reference_atoms
+from helpers import (
+    brute_force_state_count,
+    random_dfa,
+    reference_atom_dfa,
+    reference_atoms,
+    reference_raw_atom_dfa,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +118,15 @@ def test_atoms_match_reference_sweep_on_random_dfas():
     for _ in range(10):
         d = minimize(random_dfa(rng, rng.randrange(2, 8), 2))
         assert atoms(d) == reference_atoms(d)
+
+
+def test_atom_complexity_matches_brute_force_on_random_dfas():
+    rng = random.Random(47)
+    for _ in range(30):
+        d = random_dfa(rng, rng.randrange(1, 7), rng.randrange(1, 4))
+        for basis in atoms(d):
+            raw = reference_raw_atom_dfa(d, basis)
+            assert atom_complexity(d, basis) == brute_force_state_count(raw)
 
 
 def test_atom_dfa_matches_reference_construction():

@@ -24,6 +24,7 @@ from helpers import (
     random_nfa,
     random_transformation,
     reference_determinize,
+    reference_minimize,
 )
 
 
@@ -229,6 +230,18 @@ def test_minimize_matches_brute_force_on_random_dfas():
     for _ in range(100):
         d = random_dfa(rng, rng.randrange(1, 9), rng.randrange(2, 4))
         assert quotient_complexity(d) == brute_force_state_count(d)
+
+
+def test_minimize_matches_reference_on_random_dfas():
+    # Random initial states leave unreachable states in some of them.
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        d = random_dfa(rng, n, rng.randrange(1, 4))
+        d = Dfa(n, d.alphabet, d.delta, rng.randrange(n), d.finals)
+        m = minimize(d)
+        assert m.to_dict() == reference_minimize(d).to_dict()
+        assert quotient_complexity(d) == m.state_count
 
 
 def test_quotient_complexity_of_empty_language():
