@@ -35,6 +35,10 @@ class Transformation(tuple):
     __slots__ = ()
 
     def __new__(cls, image: Iterable[int]) -> "Transformation":
+        # Hot callers pass lists: tuple() of a generator allocates a
+        # guessed size and shrinks it, so each temporary adds an entry to
+        # the free list of its final size.  Those entries pile up and pin
+        # memory until a full garbage collection.
         image = tuple(image)
         n = len(image)
         if n < 1:
@@ -66,7 +70,7 @@ def compose(s: Transformation, t: Transformation) -> Transformation:
     """Apply s first, then t: result[q] = t[s[q]]."""
     if len(s) != len(t):
         raise ValueError(f"degree mismatch: {len(s)} vs {len(t)}")
-    return Transformation(t[q] for q in s)
+    return Transformation([t[q] for q in s])
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,8 @@ def canonicalize(d: Dfa) -> Dfa:
         raise ValueError("canonicalize requires all states reachable")
     new_of_old = {q: i for i, q in enumerate(order)}
     delta = {
-        a: Transformation(new_of_old[d.delta[a][q]] for q in order) for a in d.alphabet
+        a: Transformation([new_of_old[d.delta[a][q]] for q in order])
+        for a in d.alphabet
     }
     finals = frozenset(new_of_old[q] for q in d.finals)
     return Dfa(d.state_count, d.alphabet, delta, 0, finals)
@@ -355,7 +360,7 @@ def minimize(d: Dfa) -> Dfa:
     reps = {}
     for q, b in zip(order, block):
         reps.setdefault(b, q)
-    delta = {a: Transformation(block_of[d.delta[a][reps[b]]] for b in range(m))
+    delta = {a: Transformation([block_of[d.delta[a][reps[b]]] for b in range(m)])
              for a in d.alphabet}
     finals = frozenset(b for b, q in reps.items() if q in d.finals)
     return canonicalize(Dfa(m, d.alphabet, delta, block_of[d.initial], finals))

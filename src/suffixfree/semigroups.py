@@ -28,19 +28,77 @@ MAX_CLOSURE_DEGREE = 8
 MAX_ENUMERATION_DEGREE = 8
 
 
-@dataclass(frozen=True)
 class TransitionSemigroup:
-    """A finite set of transformations closed under composition."""
+    """A finite set of transformations closed under composition.
 
-    degree: int
-    elements: frozenset
-    generators: tuple = None
+    The elements are held as distinct bytes of length degree (entry q is
+    q's image), the closure kernel's encoding: len, membership, the class
+    predicates and the pair scans read them directly.  The frozenset of
+    Transformation in elements is built on first read and kept.  Two
+    semigroups are equal when their degrees and element sets are.
+    """
+
+    __slots__ = ("degree", "generators", "_raw", "_set", "_elements")
+
+    def __init__(self, degree: int, elements, generators: tuple = None):
+        if degree > 256:
+            raise ValueError(f"degree {degree} exceeds the byte encoding's "
+                             "limit (max 256)")
+        elements = frozenset(elements)
+        self._fill(degree, generators, [bytes(t) for t in elements], elements)
+
+    @classmethod
+    def _of_bytes(cls, degree: int, raw: list, generators: tuple = None):
+        """The semigroup of the distinct bytes elements raw, kept as given."""
+        s = cls.__new__(cls)
+        s._fill(degree, generators, raw, None)
+        return s
+
+    def _fill(self, degree, generators, raw, elements):
+        put = object.__setattr__
+        put(self, "degree", degree)
+        put(self, "generators", generators)
+        put(self, "_raw", raw)
+        put(self, "_set", None)
+        put(self, "_elements", elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"TransitionSemigroup is immutable: cannot set {name!r}")
+
+    def _members(self) -> frozenset:
+        if self._set is None:
+            object.__setattr__(self, "_set", frozenset(self._raw))
+        return self._set
+
+    @property
+    def elements(self) -> frozenset:
+        if self._elements is None:
+            object.__setattr__(self, "_elements", frozenset(
+                [tuple.__new__(Transformation, t) for t in self._raw]))
+        return self._elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._raw)
 
     def __contains__(self, t) -> bool:
-        return tuple(t) in self.elements
+        t = tuple(t)  # bytes(5) would be five zero bytes
+        try:
+            return bytes(t) in self._members()
+        except (TypeError, ValueError):
+            return False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TransitionSemigroup):
+            return NotImplemented
+        return (self.degree == other.degree
+                and self._members() == other._members())
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self._members()))
+
+    def __repr__(self) -> str:
+        return f"TransitionSemigroup(degree={self.degree}, size={len(self)})"
 
     def sorted_elements(self) -> list:
         """Elements in lexicographic image order (deterministic reports)."""
@@ -91,15 +149,14 @@ def in_bsf(t) -> bool:
     if t[n - 1] != n - 1 or 0 in t:
         return False
     sink = n - 1
-    cur = tuple(t)
+    cur = t
     for _ in range(n):
         x = cur[0]
         if x == sink:
             return True
-        for q in range(1, sink):
-            if cur[q] == x:
-                return False
-        cur = tuple(t[c] for c in cur)
+        if x in cur[1:sink]:
+            return False
+        cur = [t[c] for c in cur]
     return True
 
 
@@ -164,8 +221,8 @@ def generate(degree: int, generators, names=None, allow_large: bool = False,
 
     BFS closure by right-composition, generators in the given order, on
     bytes elements: each composition is one bytes.translate, run in C.
-    Images are checked to lie in 0..degree-1 on the way back to
-    Transformation.  Degrees >= 9 need allow_large (wsf(9) alone has
+    The semigroup keeps those bytes; one C pass checks that every image
+    lies in 0..degree-1.  Degrees >= 9 need allow_large (wsf(9) alone has
     8**7 + 7 elements); the byte encoding caps the degree at 256.  More
     than max_elements elements raise BudgetError.
     """
@@ -182,18 +239,14 @@ def generate(degree: int, generators, names=None, allow_large: bool = False,
                           "encoding's limit (max 256)")
     elements, _ = _close(degree, [bytes(g) for g in gens],
                          max_elements=max_elements)
-    if elements and max(map(max, elements)) >= degree:
+    if b"".join(elements).translate(None, bytes(range(degree))):
         raise ValueError(f"closure produced an image outside 0..{degree - 1}")
     named = None
     if names is not None:
         named = tuple(zip(names, gens))
     elif gens:
         named = tuple((f"g{i}", g) for i, g in enumerate(gens))
-    return TransitionSemigroup(
-        degree=degree,
-        elements=frozenset([tuple.__new__(Transformation, t) for t in elements]),
-        generators=named,
-    )
+    return TransitionSemigroup._of_bytes(degree, elements, named)
 
 
 def _sink_last(d: Dfa) -> Dfa:
@@ -210,8 +263,7 @@ def _sink_last(d: Dfa) -> Dfa:
     order = [q for q in range(n) if q != sinks[0]] + sinks
     new_of = {old: new for new, old in enumerate(order)}
     delta = {
-        a: Transformation(
-            tuple(new_of[d.delta[a][old]] for old in order))
+        a: Transformation([new_of[d.delta[a][old]] for old in order])
         for a in d.alphabet
     }
     finals = frozenset(new_of[q] for q in d.finals)
@@ -263,20 +315,19 @@ def enumerate_class(n: int, cls: str, check_closed: bool = None) -> frozenset:
 
 def is_subsemigroup_of(s: TransitionSemigroup, cls: str) -> bool:
     """True iff every element passes the class membership predicate."""
-    pred = _PREDICATE[cls]
-    return all(pred(t) for t in s.elements)
+    return all(map(_PREDICATE[cls], s._raw))
 
 
 def colliding_pairs(s: TransitionSemigroup) -> frozenset:
     """Unordered middle-state pairs {p,q} such that some element sends 0
     to p while sending another middle state to q."""
-    return _colliding_pairs(s.degree, s.elements)
+    return _colliding_pairs(s.degree, s._raw)
 
 
 def focused_pairs(s: TransitionSemigroup) -> frozenset:
     """Unordered middle-state pairs merged by some element into a common
     middle (non-sink, non-initial) state."""
-    return _focused_pairs(s.degree, s.elements)
+    return _focused_pairs(s.degree, s._raw)
 
 
 def _colliding_pairs(n: int, elements) -> frozenset:
@@ -384,5 +435,7 @@ def wsf_generators(n: int) -> tuple:
 
 
 def wsf_cardinality(n: int) -> int:
-    """(n-1)**(n-2) + (n-2), the size of wsf(n) for n >= 4."""
+    """(n-1)**(n-2) + (n-2), the size of wsf(n) for n >= 2."""
+    if n < 2:
+        raise ValueError(f"wsf(n) is defined for n >= 2, not n = {n}")
     return (n - 1) ** (n - 2) + (n - 2)

@@ -343,6 +343,8 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
     Records the largest suffix-free semigroup found and whether any
     closure has all middle pairs simultaneously colliding and focused.
     """
+    if cap < 1:
+        raise ValueError(f"generator-set size cap must be >= 1, not {cap}")
     if n > 5:
         raise BudgetError("subsemigroup search is budgeted for n <= 5")
     if cap > 3:

@@ -208,6 +208,23 @@ def test_search_budget_exit_two(runner):
     assert "budget" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "syntactic", "--n", "1"], "n >= 2"),
+    (["verify", "wsf-size", "--n", "1"], "n >= 2"),
+    (["verify", "wsf-size", "--n", "0"], "n >= 2"),
+    (["search", "--n", "5", "--cap", "0"], "cap must be >= 1"),
+    (["search", "--n", "5", "--cap", "-1"], "cap must be >= 1"),
+], ids=["syntactic-n1", "wsf-size-n1", "wsf-size-n0", "search-cap0",
+        "search-cap-1"])
+def test_out_of_contract_parameters_exit_two(monkeypatch, capsys, args,
+                                             message):
+    monkeypatch.setattr(sys, "argv", ["sfc", *args])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, broken", [
     ("transitions", lambda doc: doc.pop("transitions")),
     ("transitions.b", lambda doc: doc["transitions"]["b"].__setitem__(1, "x")),

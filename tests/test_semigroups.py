@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -83,6 +83,36 @@ def test_in_bsf_quantifier_stabilizes_within_n_steps():
         assert in_bsf(t) == slow_in_bsf(t)
 
 
+def _in_bsf_unbounded(t):
+    """bsf by its definition: the condition is checked at every distinct
+    power t**j, j >= 1, walking the powers until one repeats."""
+    n = len(t)
+    sink = n - 1
+    if t[sink] != sink or 0 in t:
+        return False
+    seen = set()
+    power = tuple(t)
+    while power not in seen:
+        seen.add(power)
+        x = power[0]
+        if x != sink and x in power[1:sink]:
+            return False
+        power = tuple([t[q] for q in power])
+    return True
+
+
+def test_predicates_agree_on_bytes_and_tuples_exhaustively():
+    # Every transformation of degree 2..6: the predicates read the
+    # closure kernel's bytes as they read tuples, and in_bsf's j <= n
+    # window agrees with the unbounded definition.
+    for n in range(2, 7):
+        for t in product(range(n), repeat=n):
+            b = bytes(t)
+            assert in_bsf(t) == in_bsf(b) == _in_bsf_unbounded(t), t
+            assert in_vsf(t) == in_vsf(b), t
+            assert in_wsf(t) == in_wsf(b), t
+
+
 # ---------------------------------------------------------------------------
 # zero_path
 
@@ -123,7 +153,7 @@ def test_vsf_cardinalities():
 
 
 def test_wsf_cardinalities():
-    expected = {4: 11, 5: 67, 6: 629, 7: 7781}
+    expected = {2: 1, 3: 3, 4: 11, 5: 67, 6: 629, 7: 7781}
     for n, size in expected.items():
         members = enumerate_class(n, WSF, check_closed=n <= 5)
         assert len(members) == size
@@ -220,6 +250,55 @@ def test_generate_matches_reference_closure():
                 s = generate(n, gens)
                 assert s.elements == reference_closure(gens), (n, gens)
                 assert all(type(t) is Transformation for t in s.elements)
+
+
+def test_generate_checks_the_image_range(monkeypatch):
+    # Valid generators never compose outside 0..degree-1; a kernel that
+    # did must not pass unnoticed.
+    monkeypatch.setattr(semigroups, "_close",
+                        lambda degree, gens, **kw: ([b"\x01\x01", b"\x01\x02"], None))
+    with pytest.raises(ValueError, match="outside 0..1"):
+        generate(2, [(1, 1)])
+
+
+def test_bytes_readers_leave_elements_unbuilt():
+    s = transition_semigroup(d6(6))
+    a = s.generators[0][1]
+    assert len(s) == wsf_cardinality(6)
+    assert a in s and tuple(a) in s and list(a) in s
+    assert (5,) * 6 in s
+    for t in ((0,) * 6, (5,) * 5, (5,) * 7, (5,) * 5 + (300,), (-1,) * 6,
+              ("a",) * 6):
+        assert t not in s
+    assert is_subsemigroup_of(s, BSF) and is_subsemigroup_of(s, WSF)
+    assert not is_subsemigroup_of(s, VSF)
+    assert colliding_pairs(s) == frozenset()
+    assert focused_pairs(s) == frozenset(combinations(range(1, 5), 2))
+    assert s._elements is None
+    elements = s.elements
+    assert elements is s.elements
+    assert all(type(t) is Transformation for t in elements)
+    assert elements == enumerate_class(6, WSF, check_closed=False)
+    assert s.sorted_elements() == sorted(elements)
+
+
+def test_semigroup_equality_is_by_degree_and_element_set():
+    gens = [t for _, t in wsf_generators(6)]
+    s = generate(6, gens)
+    r = generate(6, gens[::-1])
+    assert s.generators != r.generators
+    assert s == r and hash(s) == hash(r)
+    given = TransitionSemigroup(6, enumerate_class(6, WSF, check_closed=False))
+    assert given == s and hash(given) == hash(s)
+    assert s != generate(6, gens[:2])
+    one = generate(3, [(1, 1, 2)])
+    assert one != TransitionSemigroup(4, {(1, 1, 2, 3)})
+    assert one == TransitionSemigroup(3, {(1, 1, 2)})
+    assert len({s, r, given}) == 1
+    with pytest.raises(AttributeError):
+        s.degree = 5
+    with pytest.raises(ValueError, match="256"):
+        TransitionSemigroup(257, [Transformation.identity(257)])
 
 
 def test_transition_semigroup_of_witnesses():
