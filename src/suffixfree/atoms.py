@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import Dfa, _mask, _refine, _subsets, minimize
+from .automata import Dfa, _mask, _refine, _subsets, minimize, quotient_complexity
 from .semigroups import transition_semigroup
 
 
@@ -171,15 +171,20 @@ def atom_report(d: Dfa) -> list:
     """Per-basis complexities vs suffix-free bounds, sorted by (basis
     size, basis) for determinism.
 
-    d is minimal.  The bounds number the states as the witnesses do,
-    so d's initial state is read as 0 and its one empty state as n-1;
-    a DFA without exactly one empty state raises ValueError.
+    The bounds number the states as the witnesses do, so d's initial
+    state is read as 0 and its one empty state as n-1, and they hold for
+    minimal DFAs.  A DFA without exactly one empty state, or that is not
+    minimal, raises ValueError.
     """
     n = d.state_count
     empty = d.empty_states()
     if len(empty) != 1:
         raise ValueError(f"atom_report needs exactly one empty state, "
                          f"found {len(empty)}: {empty}")
+    minimal = quotient_complexity(d)
+    if minimal != n:
+        raise ValueError(f"atom_report needs a minimal DFA: {n} states, "
+                         f"quotient complexity {minimal}")
     middles = [q for q in range(n) if q not in (d.initial, empty[0])]
     label = {q: i for i, q in enumerate(middles, 1)}
     label.update({d.initial: 0, empty[0]: n - 1})

@@ -14,7 +14,13 @@ import sys
 
 import click
 
-from .verify import search_subsemigroups, verify_all, verify as run_measure
+from .verify import (
+    ALIASES,
+    MEASURES,
+    search_subsemigroups,
+    verify as run_measure,
+    verify_all,
+)
 from .atoms import atom_complexity, atom_report, atoms as atoms_of
 from .automata import BudgetError, Dfa
 from .langops import (
@@ -79,31 +85,40 @@ def _render_dfa(d: Dfa, fmt: str, dot: bool) -> str:
     return "\n".join(lines)
 
 
-def _render_reports(reports, fmt: str) -> str:
+def _cell(value, sep=" "):
+    """A csv cell: a dict as sorted key=value words, a list as its items
+    joined by spaces (a nested list's items by commas)."""
+    if isinstance(value, dict):
+        return " ".join(f"{k}={v}" for k, v in sorted(value.items()))
+    if isinstance(value, list):
+        return sep.join(str(_cell(v, ",")) for v in value)
+    return value
+
+
+def _show(doc, fmt: str, out: str, line=str, indent=2) -> None:
+    """Write doc, a dict or a list of rows (flat dicts or lists), as json,
+    text ("key: value" lines for a dict, line(row) per row) or csv (a
+    header of keys when the rows are dicts).  Then exit 1 if a dict row
+    has met false and asserted true or absent."""
+    rows = [doc] if isinstance(doc, dict) else doc
     if fmt == "json":
-        return json.dumps([r.to_dict() for r in reports], indent=2)
-    if fmt == "csv":
+        text = json.dumps(doc, indent=indent)
+    elif fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["measure", "params", "computed", "bound", "met",
-                    "asserted", "runtime_ms"])
-        for r in reports:
-            params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
-            w.writerow([r.measure, params, r.computed, r.bound,
-                        r.met, r.asserted, r.runtime_ms])
-        return buf.getvalue().rstrip("\n")
-    lines = []
-    for r in reports:
-        params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
-        status = "met" if r.met else "MISSED"
-        note = "" if r.asserted else " (informational)"
-        lines.append(f"{r.measure} {params}: computed={r.computed} "
-                     f"bound={r.bound} {status}{note} [{r.runtime_ms}ms]")
-    return "\n".join(lines)
-
-
-def _exit_for(reports) -> int:
-    return 0 if all(r.met for r in reports if r.asserted) else 1
+        if rows and isinstance(rows[0], dict):
+            w.writerow(rows[0])
+        cells = [r.values() if isinstance(r, dict) else [r] for r in rows]
+        w.writerows([_cell(v) for v in c] for c in cells)
+        text = buf.getvalue().rstrip("\n")
+    elif isinstance(doc, dict):
+        text = "\n".join(f"{k}: {v}" for k, v in doc.items())
+    else:
+        text = "\n".join(map(line, rows)) or "(none)"
+    _emit(text, out)
+    if any(isinstance(r, dict) and r.get("met") is False and r.get("asserted", True)
+           for r in rows):
+        sys.exit(1)
 
 
 @click.group()
@@ -165,11 +180,15 @@ def witness_product_binary(m, n, fmt, dot, out):
 # ---------------------------------------------------------------------------
 # op
 
+#: Operation name -> (number of input DFAs, the operation).
+OPERATIONS = {
+    "star": (1, star), "concat": (2, concat), "reverse": (1, reverse),
+    **{op.value: (2, lambda x, y, op=op: boolean(x, y, op)) for op in BooleanOp},
+}
+
+
 @main.command("op")
-@click.argument("operation",
-                type=click.Choice(["star", "concat", "reverse", "union",
-                                   "intersection", "difference",
-                                   "symmetric-difference"]))
+@click.argument("operation", type=click.Choice(list(OPERATIONS)))
 @click.argument("inputs", nargs=-1, type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="json")
 @click.option("--dot", is_flag=True)
@@ -179,20 +198,11 @@ def witness_product_binary(m, n, fmt, dot, out):
 def op_cmd(operation, inputs, fmt, dot, out, budget_states):
     """Apply an operation to DFA interchange files; the result is the
     minimal canonical DFA of the resulting language."""
-    unary = operation in ("star", "reverse")
-    need = 1 if unary else 2
+    need, apply = OPERATIONS[operation]
     if len(inputs) != need:
         raise click.UsageError(
             f"{operation} takes {need} input file(s), got {len(inputs)}")
-    ds = [_load_dfa(p) for p in inputs]
-    if operation == "star":
-        result = star(ds[0])
-    elif operation == "reverse":
-        result = reverse(ds[0])
-    elif operation == "concat":
-        result = concat(ds[0], ds[1])
-    else:
-        result = boolean(ds[0], ds[1], BooleanOp(operation))
+    result = apply(*[_load_dfa(p) for p in inputs])
     if budget_states is not None and result.state_count > budget_states:
         raise BudgetError(
             f"result has {result.state_count} states, budget {budget_states}")
@@ -222,16 +232,10 @@ def semigroup_generate(input, fmt, out, show_elements, budget_elements,
     of the minimal DFA."""
     sg = transition_semigroup(_load_dfa(input), allow_large=allow_large,
                               max_elements=budget_elements)
-    if fmt == "json":
-        doc = {"degree": sg.degree, "cardinality": len(sg)}
-        if show_elements:
-            doc["elements"] = [list(t) for t in sg.sorted_elements()]
-        _emit(json.dumps(doc, indent=2), out)
-        return
-    lines = [f"degree: {sg.degree}", f"cardinality: {len(sg)}"]
+    doc = {"degree": sg.degree, "cardinality": len(sg)}
     if show_elements:
-        lines += [str(list(t)) for t in sg.sorted_elements()]
-    _emit("\n".join(lines), out)
+        doc["elements"] = [list(t) for t in sg.sorted_elements()]
+    _show(doc, fmt, out)
 
 
 @semigroup.command("classify")
@@ -251,10 +255,7 @@ def semigroup_classify(input, fmt, out, allow_large):
         "in_vsf": sg.degree >= 2 and is_subsemigroup_of(sg, VSF),
         "in_wsf": sg.degree >= 2 and is_subsemigroup_of(sg, WSF),
     }
-    if fmt == "json":
-        _emit(json.dumps(doc, indent=2), out)
-    else:
-        _emit("\n".join(f"{k}: {v}" for k, v in doc.items()), out)
+    _show(doc, fmt, out)
 
 
 @semigroup.command("collisions")
@@ -266,14 +267,8 @@ def semigroup_collisions(input, fmt, out, allow_large):
     """Colliding and focused middle-state pairs of the transition
     semigroup."""
     sg = transition_semigroup(_load_dfa(input), allow_large=allow_large)
-    colliding = sorted(colliding_pairs(sg))
-    focused = sorted(focused_pairs(sg))
-    if fmt == "json":
-        _emit(json.dumps({"colliding": [list(p) for p in colliding],
-                          "focused": [list(p) for p in focused]}, indent=2),
-              out)
-    else:
-        _emit(f"colliding: {colliding}\nfocused: {focused}", out)
+    _show({"colliding": [list(p) for p in sorted(colliding_pairs(sg))],
+           "focused": [list(p) for p in sorted(focused_pairs(sg))]}, fmt, out)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +287,7 @@ def atoms_list(input, fmt, out):
     """Bases of all atoms of the input's language."""
     d = _load_dfa(input)
     bases = sorted((sorted(b) for b in atoms_of(d)), key=lambda b: (len(b), b))
-    if fmt == "json":
-        _emit(json.dumps(bases), out)
-    else:
-        _emit("\n".join(str(b) for b in bases) or "(none)", out)
+    _show(bases, fmt, out, indent=None)
 
 
 @atoms_group.command("complexity")
@@ -308,11 +300,8 @@ def atoms_complexity(input, basis, fmt, out):
     """Quotient complexity of one atom."""
     d = _load_dfa(input)
     states = frozenset(int(p) for p in basis.split(",") if p.strip() != "")
-    value = atom_complexity(d, states)
-    if fmt == "json":
-        _emit(json.dumps({"basis": sorted(states), "complexity": value}), out)
-    else:
-        _emit(f"{sorted(states)}: {value}", out)
+    _show({"basis": sorted(states), "complexity": atom_complexity(d, states)},
+          fmt, out, indent=None)
 
 
 @atoms_group.command("table")
@@ -321,61 +310,44 @@ def atoms_complexity(input, basis, fmt, out):
 @click.option("--out", default=None)
 def atoms_table(n, fmt, out):
     """Per-atom complexities and bounds for the quinary witness."""
-    rows = atom_report(d6(n))
-    if fmt == "json":
-        _emit(json.dumps([{"basis": list(r.basis), "complexity": r.complexity,
-                           "bound": r.bound, "met": r.met} for r in rows],
-                         indent=2), out)
-        return
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["basis", "complexity", "bound", "met"])
-        for r in rows:
-            w.writerow([" ".join(map(str, r.basis)), r.complexity, r.bound, r.met])
-        _emit(buf.getvalue().rstrip("\n"), out)
-        return
-    lines = [f"{list(r.basis)}: complexity={r.complexity} bound={r.bound} "
-             f"{'met' if r.met else 'MISSED'}" for r in rows]
-    _emit("\n".join(lines), out)
-    if not all(r.met for r in rows):
-        sys.exit(1)
+    rows = [{"basis": list(r.basis), "complexity": r.complexity,
+             "bound": r.bound, "met": r.met} for r in atom_report(d6(n))]
+    _show(rows, fmt, out, line=lambda r: (
+        f"{r['basis']}: complexity={r['complexity']} bound={r['bound']} "
+        f"{'met' if r['met'] else 'MISSED'}"))
 
 
 # ---------------------------------------------------------------------------
 # verify and search
 
+def _report_line(r: dict) -> str:
+    status = "met" if r["met"] else "MISSED"
+    note = "" if r["asserted"] else " (informational)"
+    return (f"{r['measure']} {_cell(r['params'])}: computed={r['computed']} "
+            f"bound={r['bound']} {status}{note} [{r['runtime_ms']}ms]")
+
+
 @main.command("verify")
-@click.argument("measure")
+@click.argument("measure", type=click.Choice([*MEASURES, *ALIASES, "all"],
+                                             case_sensitive=False))
 @click.option("--n", type=int, default=None)
 @click.option("--m", type=int, default=None)
-@click.option("--family", type=click.Choice(["d5", "d6"]), default="d6")
+@click.option("--family", type=click.Choice(["d5", "d6"]), default=None,
+              help="witness family of a boolean measure (default d6)")
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
 def verify_cmd(measure, n, m, family, fmt, out):
     """Check computed complexities against the bound formulas.
 
-    MEASURE is one of star, product, product-binary, union,
-    intersection, difference, symmetric-difference, reversal,
-    atom-count, syntactic, wsf-size, atom-table, tables, classes, all.
+    MEASURE names one measure, run at the given parameters, or is all:
+    every measure over its default sweep.
     """
-    try:
-        if measure == "all":
-            reports = verify_all()
-        else:
-            params = {}
-            if n is not None:
-                params["n"] = n
-            if m is not None:
-                params["m"] = m
-            params["family"] = family
-            reports = run_measure(measure, **params)
-    except KeyError as exc:
-        raise click.UsageError(f"measure {measure!r} needs parameter {exc}")
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit(_render_reports(reports, fmt), out)
-    sys.exit(_exit_for(reports))
+    params = {k: v for k, v in (("n", n), ("m", m), ("family", family))
+              if v is not None}
+    if measure == "all" and params:
+        raise click.UsageError("all takes no --n, --m or --family")
+    reports = verify_all() if measure == "all" else run_measure(measure, **params)
+    _show([r.to_dict() for r in reports], fmt, out, line=_report_line)
 
 
 @main.command("search")
@@ -386,11 +358,7 @@ def verify_cmd(measure, n, m, family, fmt, out):
 @click.option("--out", default=None)
 def search_cmd(n, cap, fmt, out):
     """Exhaustively close all small generator subsets of bsf(n)."""
-    report = search_subsemigroups(n, cap=cap)
-    if fmt == "json":
-        _emit(json.dumps(report.to_dict(), indent=2), out)
-    else:
-        _emit("\n".join(f"{k}: {v}" for k, v in report.to_dict().items()), out)
+    _show(search_subsemigroups(n, cap=cap).to_dict(), fmt, out)
 
 
 def run() -> None:

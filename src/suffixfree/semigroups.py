@@ -243,9 +243,9 @@ def generate(degree: int, generators, names=None, allow_large: bool = False,
         raise ValueError(f"closure produced an image outside 0..{degree - 1}")
     named = None
     if names is not None:
-        named = tuple(zip(names, gens))
+        named = tuple([(name, g) for name, g in zip(names, gens)])
     elif gens:
-        named = tuple((f"g{i}", g) for i, g in enumerate(gens))
+        named = tuple([(f"g{i}", g) for i, g in enumerate(gens)])
     return TransitionSemigroup._of_bytes(degree, elements, named)
 
 
@@ -369,6 +369,26 @@ def _cycle(image: list, states) -> None:
             image[q] = states[(i + 1) % len(states)]
 
 
+def _middle_cycle(n: int) -> Transformation:
+    """(0 -> n-1)(1,...,n-2), a role of every witness family."""
+    a = list(range(n))
+    a[0] = n - 1
+    _cycle(a, range(1, n - 1))
+    return Transformation(a)
+
+
+def _cycles(n: int) -> list:
+    """The named middle cycle a and, for n >= 5, the transposition
+    b = (0 -> n-1)(1,2); at n = 4 b would equal a."""
+    named = [("a", _middle_cycle(n))]
+    if n >= 5:
+        b = list(range(n))
+        b[0] = n - 1
+        _cycle(b, (1, 2))
+        named.append(("b", Transformation(b)))
+    return named
+
+
 def vsf_generators(n: int) -> tuple:
     """The named generating set of vsf(n): the middle-cycle a, the
     transposition b and the n-2 maps c_p = (p -> n-1)(0 -> p).
@@ -387,16 +407,7 @@ def vsf_generators(n: int) -> tuple:
         c[p] = n - 1
         c[0] = p
         cs.append((f"c{p}", Transformation(c)))
-    a = list(range(n))
-    a[0] = n - 1
-    _cycle(a, range(1, n - 1))
-    named = [("a", Transformation(a))]
-    if n >= 5:
-        b = list(range(n))
-        b[0] = n - 1
-        _cycle(b, (1, 2))
-        named.append(("b", Transformation(b)))
-    return tuple(named + cs)
+    return tuple(_cycles(n) + cs)
 
 
 def wsf_generators(n: int) -> tuple:
@@ -413,25 +424,15 @@ def wsf_generators(n: int) -> tuple:
     e[0] = 1
     if n == 2:
         return (("e", Transformation(e)),)
-    a = list(range(n))
-    a[0] = n - 1
-    _cycle(a, range(1, n - 1))
     if n == 3:
-        return (("a", Transformation(a)), ("e", Transformation(e)))
-    b = list(range(n))
-    b[0] = n - 1
-    _cycle(b, (1, 2))
+        return tuple(_cycles(n) + [("e", Transformation(e))])
     c = list(range(n))
     c[0] = n - 1
     c[n - 2] = 1
     d = list(range(n))
     d[0] = d[1] = n - 1
-    named = [("a", Transformation(a))]
-    if n >= 5:
-        named.append(("b", Transformation(b)))
-    named += [("c", Transformation(c)), ("d", Transformation(d)),
-              ("e", Transformation(e))]
-    return tuple(named)
+    return tuple(_cycles(n) + [("c", Transformation(c)), ("d", Transformation(d)),
+                               ("e", Transformation(e))])
 
 
 def wsf_cardinality(n: int) -> int:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from itertools import combinations, groupby
+from typing import Callable
 
 from .atoms import atom_complexity, atoms, middle_basis_bound, syntactic_complexity
 from .automata import BudgetError, quotient_complexity
@@ -258,15 +259,6 @@ def verify_atom_table(n: int, construct: bool = None) -> list:
     return reports
 
 
-def verify_tables() -> list:
-    """All reference-table columns: construction for n = 4..7, formula
-    checks for n = 8..9."""
-    reports = []
-    for n in sorted(ATOM_TABLE):
-        reports.extend(verify_atom_table(n))
-    return reports
-
-
 def star_side_semigroup(n: int) -> TransitionSemigroup:
     """Transition semigroup of a star-bound witness.  The ternary
     witness family starts at n = 6; at n = 4, 5 the canonical automaton
@@ -286,30 +278,21 @@ def verify_semigroup_classes(n: int) -> list:
     * atom-witness semigroup is inside wsf(n) but not inside vsf(n);
     * hence no transition semigroup fits both roles (incompatibility).
     """
-    reports = []
-    t0 = time.perf_counter()
-    star_sg = star_side_semigroup(n)
-    star_ok = is_subsemigroup_of(star_sg, VSF) and not is_subsemigroup_of(star_sg, WSF)
-    ms = int((time.perf_counter() - t0) * 1000)
-    reports.append(ComplexityReport(
-        "classes.star-in-vsf-not-wsf", {"n": n}, int(star_ok), 1, n >= 4, ms))
+    def inside(sg, cls, not_cls=None):
+        return int(is_subsemigroup_of(sg, cls)
+                   and not (not_cls and is_subsemigroup_of(sg, not_cls)))
 
-    t0 = time.perf_counter()
-    rev_sg = transition_semigroup(d6(n, "a,-,c,-,e"))
-    rev_ok = is_subsemigroup_of(rev_sg, WSF)
-    ms = int((time.perf_counter() - t0) * 1000)
-    reports.append(ComplexityReport(
-        "classes.reversal-in-wsf", {"n": n}, int(rev_ok), 1, n >= 4, ms))
-
-    t0 = time.perf_counter()
-    atom_sg = transition_semigroup(d6(n))
-    atom_ok = is_subsemigroup_of(atom_sg, WSF) and not is_subsemigroup_of(atom_sg, VSF)
-    ms = int((time.perf_counter() - t0) * 1000)
-    reports.append(ComplexityReport(
-        "classes.atoms-in-wsf-not-vsf", {"n": n}, int(atom_ok), 1, n >= 4, ms))
-
-    reports.append(ComplexityReport(
-        "classes.incompatible", {"n": n}, int(star_ok and rev_ok), 1, n >= 4, 0))
+    reports = [
+        _report("classes.star-in-vsf-not-wsf", {"n": n}, n >= 4,
+                lambda: inside(star_side_semigroup(n), VSF, WSF), 1),
+        _report("classes.reversal-in-wsf", {"n": n}, n >= 4,
+                lambda: inside(transition_semigroup(d6(n, "a,-,c,-,e")), WSF), 1),
+        _report("classes.atoms-in-wsf-not-vsf", {"n": n}, n >= 4,
+                lambda: inside(transition_semigroup(d6(n)), WSF, VSF), 1),
+    ]
+    reports.append(_report(
+        "classes.incompatible", {"n": n}, n >= 4,
+        lambda: int(reports[0].computed and reports[1].computed), 1))
     return reports
 
 
@@ -327,14 +310,7 @@ class SearchReport:
     complete: bool
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "generator_cap": self.generator_cap,
-            "semigroups_found": self.semigroups_found,
-            "max_cardinality": self.max_cardinality,
-            "any_colliding_and_focused": self.any_colliding_and_focused,
-            "complete": self.complete,
-        }
+        return asdict(self)
 
 
 def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
@@ -379,61 +355,68 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and sweeps.
+# The measure table.
+
+def _boolean(op: BooleanOp) -> Callable:
+    return lambda m, n, family: verify_boolean(m, n, op, family)
+
+
+#: Shared by the measures verify_all() runs side by side, one n at a time.
+_SMALL_N = tuple((n,) for n in range(4, 8))
+
+#: Measure name -> (run, parameter names, default sweep): run(*args)
+#: returns a report or a list of reports, and the sweep holds the
+#: argument tuples verify_all() passes.
+MEASURES = {
+    "star": (verify_star, ("n",), ((6,), (7,))),
+    "product": (verify_product, ("m", "n"), ((6, 6), (6, 7), (7, 6), (7, 7))),
+    "product-binary": (verify_product_binary, ("m", "n"),
+                       ((6, 7), (7, 8), (8, 9))),
+    **{op.value: (_boolean(op), ("m", "n", "family"),
+                  tuple([(m, n, "d5") for m in (6, 7) for n in (6, 7)]
+                        + [(m, n, "d6") for m in range(4, 8) for n in range(4, 8)]))
+       for op in BooleanOp},
+    "reversal": (verify_reversal, ("n",), _SMALL_N),
+    "atom-count": (verify_atom_count, ("n",), _SMALL_N),
+    "syntactic": (verify_syntactic, ("n",), _SMALL_N),
+    "wsf-size": (verify_wsf_size, ("n",), _SMALL_N),
+    "classes": (verify_semigroup_classes, ("n",), _SMALL_N),
+    "atom-table": (verify_atom_table, ("n",), _SMALL_N),
+}
+
+ALIASES = {"product_binary": "product-binary", "atoms": "atom-count",
+           "table": "atom-table"}
+
+
+def _listed(result) -> list:
+    return result if isinstance(result, list) else [result]
+
 
 def verify(measure: str, **params) -> list:
-    """Run one measure by name; returns a list of reports."""
-    m = measure.lower()
-    if m == "star":
-        return [verify_star(params["n"])]
-    if m == "product":
-        return [verify_product(params["m"], params["n"])]
-    if m in ("product-binary", "product_binary"):
-        return [verify_product_binary(params["m"], params["n"])]
-    if m in ("union", "intersection", "difference", "symmetric-difference"):
-        op = BooleanOp(m)
-        return [verify_boolean(params["m"], params["n"], op,
-                               family=params.get("family", "d6"))]
-    if m == "reversal":
-        return [verify_reversal(params["n"])]
-    if m in ("atom-count", "atoms"):
-        return [verify_atom_count(params["n"])]
-    if m == "syntactic":
-        return [verify_syntactic(params["n"])]
-    if m == "wsf-size":
-        return [verify_wsf_size(params["n"])]
-    if m in ("atom-table", "table"):
-        return verify_atom_table(params["n"])
-    if m == "tables":
-        return verify_tables()
-    if m == "classes":
-        return verify_semigroup_classes(params["n"])
-    raise ValueError(f"unknown measure {measure!r}")
+    """Run one measure by name or alias at the given parameters (a
+    boolean measure's family defaults to d6); returns a list of reports.
+    A missing parameter, or one the measure does not take, raises
+    ValueError."""
+    name = ALIASES.get(measure.lower(), measure.lower())
+    if name not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    run, names, _ = MEASURES[name]
+    if "family" in names:
+        params.setdefault("family", "d6")
+    if set(params) != set(names):
+        raise ValueError(f"measure {name!r} takes parameters {', '.join(names)}, "
+                         f"not {', '.join(sorted(params)) or 'none'}")
+    return _listed(run(**params))
 
 
 def verify_all() -> list:
-    """Default sweep: every measure at n, m in 4..7 where the family is
-    defined, plus the coprime binary product pairs."""
+    """Every measure over its default sweep, in table order.  Measures
+    next to each other that share one sweep object run side by side:
+    each argument tuple goes to all of them before the next one."""
     reports = []
-    for n in (6, 7):
-        reports.append(verify_star(n))
-    for m in (6, 7):
-        for n in (6, 7):
-            reports.append(verify_product(m, n))
-    for m, n in ((6, 7), (7, 8), (8, 9)):
-        reports.append(verify_product_binary(m, n))
-    for op in BooleanOp:
-        for m in (6, 7):
-            for n in (6, 7):
-                reports.append(verify_boolean(m, n, op, family="d5"))
-        for m in range(4, 8):
-            for n in range(4, 8):
-                reports.append(verify_boolean(m, n, op, family="d6"))
-    for n in range(4, 8):
-        reports.append(verify_reversal(n))
-        reports.append(verify_atom_count(n))
-        reports.append(verify_syntactic(n))
-        reports.append(verify_wsf_size(n))
-        reports.extend(verify_semigroup_classes(n))
-        reports.extend(verify_atom_table(n))
+    for _, group in groupby(MEASURES.values(), key=lambda e: id(e[2])):
+        group = list(group)
+        for args in group[0][2]:
+            for run, _, _ in group:
+                reports += _listed(run(*args))
     return reports

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .automata import Dfa, Transformation, word_transformation
 from .langops import PartialPermutation, apply_dialect
-from .semigroups import _cycle
+from .semigroups import _cycle, _middle_cycle, wsf_generators
 
 
 def _identity(n: int) -> list:
@@ -37,10 +37,7 @@ def _d5_roles(n: int) -> dict:
     b[1] = 2
     b[0] = 1
     _cycle(b, (3, 4))
-    c = _identity(n)
-    c[0] = n - 1
-    _cycle(c, range(1, n - 1))
-    return {"a": Transformation(a), "b": Transformation(b), "c": Transformation(c)}
+    return {"a": Transformation(a), "b": Transformation(b), "c": _middle_cycle(n)}
 
 
 def d5(n: int, dialect: str = None) -> Dfa:
@@ -61,26 +58,10 @@ def d5(n: int, dialect: str = None) -> Dfa:
 
 
 def _d6_roles(n: int) -> dict:
-    a = _identity(n)
-    a[0] = n - 1
-    _cycle(a, range(1, n - 1))
-    b = _identity(n)
-    b[0] = n - 1
-    _cycle(b, (1, 2))
-    c = _identity(n)
-    c[0] = n - 1
-    c[n - 2] = 1
-    d = _identity(n)
-    d[0] = d[1] = n - 1
-    e = [n - 1] * n
-    e[0] = 1
-    return {
-        "a": Transformation(a),
-        "b": Transformation(b),
-        "c": Transformation(c),
-        "d": Transformation(d),
-        "e": Transformation(e),
-    }
+    """The five roles by name: the generators of wsf(n), with role b
+    equal to role a at n = 4."""
+    roles = dict(wsf_generators(n))
+    return {"b": roles["a"], **roles}
 
 
 def d6(n: int, dialect: str = None) -> Dfa:
@@ -113,16 +94,10 @@ def binary_product_pair(m: int, n: int):
         raise ValueError("left witness needs m >= 6")
     if n < 3:
         raise ValueError("right witness needs n >= 3")
-    a1 = _identity(m)
-    a1[0] = m - 1
-    _cycle(a1, range(1, m - 1))
     b1 = [m - 1] * m
     b1[0] = 1
     b1[2] = 2
-    left = Dfa(m, ("a", "b"), {"a": a1, "b": b1}, 0, {2, 4})
-    a2 = _identity(n)
-    a2[0] = n - 1
-    _cycle(a2, range(1, n - 1))
+    left = Dfa(m, ("a", "b"), {"a": _middle_cycle(m), "b": b1}, 0, {2, 4})
     # b on the right loops on every state of {2,...,n-2} (the drawn
     # loops at 2 and n-2 bracket the whole dotted range); only state 1
     # falls to the sink.  With fewer loops the coprime pairs cannot
@@ -130,7 +105,7 @@ def binary_product_pair(m: int, n: int):
     b2 = _identity(n)
     b2[0] = 1
     b2[1] = n - 1
-    right = Dfa(n, ("a", "b"), {"a": a2, "b": b2}, 0, {1})
+    right = Dfa(n, ("a", "b"), {"a": _middle_cycle(n), "b": b2}, 0, {1})
     return left, right
 
 

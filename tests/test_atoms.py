@@ -256,6 +256,22 @@ def test_atom_report_needs_exactly_one_empty_state():
             atom_report(d)
 
 
+def test_atom_report_rejects_a_non_minimal_dfa():
+    # d6(5) plus state 5, a copy of state 3 that state 2 now enters in
+    # its place: same language, six states, quotient complexity 5.
+    d = d6(5)
+    delta = {}
+    for a in d.alphabet:
+        row = list(d.delta[a]) + [d.delta[a][3]]
+        if row[2] == 3:
+            row[2] = 5
+        delta[a] = row
+    copy = Dfa(6, d.alphabet, delta, 0, d.finals | {5})
+    assert quotient_complexity(copy) == 5
+    with pytest.raises(ValueError, match="6 states, quotient complexity 5"):
+        atom_report(copy)
+
+
 def test_atom_row_met_property():
     assert AtomRow(basis=(1,), complexity=5, bound=5).met
     assert not AtomRow(basis=(1,), complexity=4, bound=5).met

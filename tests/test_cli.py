@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import suffixfree
+from suffixfree.atoms import AtomRow
 from suffixfree.automata import Dfa, is_isomorphic
 from suffixfree.cli import main, run
 from suffixfree.langops import star
@@ -170,6 +172,49 @@ def test_atoms_table(runner):
     assert max(row["complexity"] for row in rows) == 16
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_atoms_table_miss_exits_one_in_every_format(runner, monkeypatch, fmt):
+    monkeypatch.setattr("suffixfree.cli.atom_report",
+                        lambda d: [AtomRow(basis=(1,), complexity=4, bound=5)])
+    result = invoke(runner, "atoms", "table", "--n", "5", "--format", fmt)
+    assert result.exit_code == 1
+
+
+def _from_cell(cell, like):
+    """The json value like, read back from its csv cell."""
+    if isinstance(like, bool):
+        return cell == "True"
+    if isinstance(like, int):
+        return int(cell)
+    return [[int(q) for q in item.split(",")] if "," in item else int(item)
+            for item in cell.split()]
+
+
+@pytest.mark.parametrize("command", [
+    ["semigroup", "generate", "FILE"],
+    ["semigroup", "generate", "FILE", "--elements"],
+    ["semigroup", "classify", "FILE"],
+    ["semigroup", "collisions", "FILE"],
+    ["atoms", "list", "FILE"],
+    ["atoms", "complexity", "FILE", "--basis", "1,2"],
+    ["search", "--n", "4"],
+], ids=" ".join)
+def test_csv_agrees_with_json(runner, tmp_path, command):
+    src = write_dfa(tmp_path, "in.json", d6(5))
+    args = [src if a == "FILE" else a for a in command]
+    doc = json.loads(invoke(runner, *args, "--format", "json").output)
+    result = invoke(runner, *args, "--format", "csv")
+    assert result.exit_code == 0
+    rows = list(csv.reader(result.output.splitlines()))
+    if isinstance(doc, dict):
+        header, values = rows
+        assert header == list(doc)
+        assert [_from_cell(c, v) for c, v in zip(values, doc.values())] \
+            == list(doc.values())
+    else:  # atoms list: one basis per row, no keys to head the column
+        assert [_from_cell(c, []) for (c,) in rows] == doc
+
+
 # ---------------------------------------------------------------------------
 # verify / search and exit codes
 
@@ -214,8 +259,11 @@ def test_search_budget_exit_two(runner):
     (["verify", "wsf-size", "--n", "0"], "n >= 2"),
     (["search", "--n", "5", "--cap", "0"], "cap must be >= 1"),
     (["search", "--n", "5", "--cap", "-1"], "cap must be >= 1"),
+    (["verify", "star", "--n", "6", "--m", "7"], "takes parameters n, not m, n"),
+    (["verify", "star", "--n", "6", "--family", "d5"],
+     "takes parameters n, not family, n"),
 ], ids=["syntactic-n1", "wsf-size-n1", "wsf-size-n0", "search-cap0",
-        "search-cap-1"])
+        "search-cap-1", "verify-star-m", "verify-star-family"])
 def test_out_of_contract_parameters_exit_two(monkeypatch, capsys, args,
                                              message):
     monkeypatch.setattr(sys, "argv", ["sfc", *args])

@@ -168,9 +168,35 @@ def test_search_budgets():
 def test_verify_dispatcher():
     assert verify("star", n=6)[0].met
     assert verify("union", m=6, n=6, family="d5")[0].met
+    assert verify("UNION", m=6, n=6)[0].params["family"] == "d6"
+    assert verify("atoms", n=5)[0].measure == "atom-count"
     assert len(verify("classes", n=5)) == 4
     with pytest.raises(ValueError):
         verify("squaring", n=6)
+    with pytest.raises(ValueError, match="takes parameters n, not none"):
+        verify("star")
+
+
+def test_verify_all_order():
+    # The parent's hand-written sweep: the n = 4..7 measures run side
+    # by side for each n, every other measure over its whole sweep.
+    expected = [("star", n) for n in (6, 7)]
+    expected += [("product", m, n) for m in (6, 7) for n in (6, 7)]
+    expected += [("product-binary", m, n, True)  # every pair is coprime
+                 for m, n in ((6, 7), (7, 8), (8, 9))]
+    for op in BooleanOp:
+        expected += [(f"boolean-{op.value}", m, n, "d5")
+                     for m in (6, 7) for n in (6, 7)]
+        expected += [(f"boolean-{op.value}", m, n, "d6")
+                     for m in range(4, 8) for n in range(4, 8)]
+    for n in range(4, 8):
+        expected += [("reversal", n), ("atom-count", n), ("syntactic", n),
+                     ("wsf-size", n)]
+        expected += [(f"classes.{fact}", n) for fact in (
+            "star-in-vsf-not-wsf", "reversal-in-wsf", "atoms-in-wsf-not-vsf",
+            "incompatible")]
+        expected += [("atom-table", n, size) for size in range(n - 1)]
+    assert [(r.measure, *r.params.values()) for r in verify_all()] == expected
 
 
 def test_verify_all_has_no_asserted_failures():
