@@ -148,10 +148,10 @@ def suffix_free_atom_bound(n: int, basis) -> int:
     return middle_basis_bound(n, len(basis))
 
 
-def syntactic_complexity(d: Dfa, allow_large: bool = False) -> int:
+def syntactic_complexity(d: Dfa) -> int:
     """Cardinality of the syntactic (= transition) semigroup of the
     minimal DFA of d's language."""
-    return len(transition_semigroup(d, allow_large=allow_large))
+    return len(transition_semigroup(d))
 
 
 @dataclass(frozen=True)

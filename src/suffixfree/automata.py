@@ -306,19 +306,21 @@ def _reachable(d: Dfa) -> list:
     return order
 
 
+def _relabel(d: Dfa, order: list) -> Dfa:
+    """d with state order[i] renumbered i; order lists every state."""
+    new_of = {q: i for i, q in enumerate(order)}
+    delta = {a: [new_of[d.delta[a][q]] for q in order] for a in d.alphabet}
+    return Dfa(d.state_count, d.alphabet, delta, new_of[d.initial],
+               [new_of[q] for q in d.finals])
+
+
 def canonicalize(d: Dfa) -> Dfa:
     """Renumber states in BFS order from the initial state, letters in
     alphabet order.  Requires every state to be reachable."""
     order = _reachable(d)
     if len(order) != d.state_count:
         raise ValueError("canonicalize requires all states reachable")
-    new_of_old = {q: i for i, q in enumerate(order)}
-    delta = {
-        a: Transformation([new_of_old[d.delta[a][q]] for q in order])
-        for a in d.alphabet
-    }
-    finals = frozenset(new_of_old[q] for q in d.finals)
-    return Dfa(d.state_count, d.alphabet, delta, 0, finals)
+    return _relabel(d, order)
 
 
 def _refine(succ: list, block: list) -> tuple:
@@ -341,45 +343,33 @@ def _refine(succ: list, block: list) -> tuple:
 
 def _classes(d: Dfa) -> tuple:
     """Nerode classes of the reachable part of d: the reachable states
-    in BFS order, the class of each by position in that order, and the
-    number of classes."""
+    in BFS order, their successor rows by position in that order, the
+    class of each position and the number of classes."""
     order = _reachable(d)
     pos = {q: i for i, q in enumerate(order)}
     succ = [[pos[r] for r in map(d.delta[a].__getitem__, order)] for a in d.alphabet]
     block, count = _refine(succ, [int(q in d.finals) for q in order])
-    return order, block, count
+    return order, succ, block, count
 
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal DFA of the same language, in canonical (BFS) numbering.
 
-    Moore partition refinement on the reachable part.
+    Moore partition refinement on the reachable part numbers each class
+    by its first state in BFS order.  BFS with letters in alphabet order
+    meets states in shortlex order of their least access words, so that
+    numbering is the quotient's own BFS order, the initial class at 0.
     """
-    order, block, m = _classes(d)
-    block_of = dict(zip(order, block))
-    reps = {}
-    for q, b in zip(order, block):
-        reps.setdefault(b, q)
-    delta = {a: Transformation([block_of[d.delta[a][reps[b]]] for b in range(m)])
-             for a in d.alphabet}
-    finals = frozenset(b for b, q in reps.items() if q in d.finals)
-    return canonicalize(Dfa(m, d.alphabet, delta, block_of[d.initial], finals))
+    order, succ, block, m = _classes(d)
+    rep = {b: i for i, b in enumerate(block)}  # one position per class
+    delta = {a: [block[row[rep[b]]] for b in range(m)] for a, row in zip(d.alphabet, succ)}
+    finals = [b for b in range(m) if order[rep[b]] in d.finals]
+    return Dfa(m, d.alphabet, delta, 0, finals)
 
 
 def quotient_complexity(d: Dfa) -> int:
     """Number of states of the minimal DFA (= number of left quotients)."""
-    return _classes(d)[2]
-
-
-def _canonical_key(d: Dfa, letter_order: tuple) -> tuple:
-    reordered = Dfa(d.state_count, letter_order, d.delta, d.initial, d.finals)
-    c = canonicalize(reordered)
-    return (
-        c.state_count,
-        c.alphabet,
-        tuple(tuple(c.delta[a]) for a in c.alphabet),
-        c.finals,
-    )
+    return _classes(d)[3]
 
 
 def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
@@ -389,7 +379,5 @@ def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
     """
     if set(d1.alphabet) != set(d2.alphabet):
         return False
-    order = d1.alphabet
-    m1 = minimize(d1)
-    m2 = minimize(Dfa(d2.state_count, order, d2.delta, d2.initial, d2.finals))
-    return _canonical_key(m1, order) == _canonical_key(m2, order)
+    reordered = Dfa(d2.state_count, d1.alphabet, d2.delta, d2.initial, d2.finals)
+    return minimize(d1) == minimize(reordered)

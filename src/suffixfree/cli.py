@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+import textwrap
 
 import click
 
@@ -33,6 +34,7 @@ from .langops import (
 )
 from .semigroups import (
     BSF,
+    MAX_CLOSURE_ELEMENTS,
     VSF,
     WSF,
     colliding_pairs,
@@ -217,21 +219,22 @@ def semigroup() -> None:
     """Transition-semigroup computations on DFA interchange files."""
 
 
+BUDGET_ELEMENTS = click.option(
+    "--budget-elements", type=int, default=MAX_CLOSURE_ELEMENTS, show_default=True,
+    help="abort if the semigroup exceeds this many elements")
+
+
 @semigroup.command("generate")
 @click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
 @click.option("--elements", "show_elements", is_flag=True,
               help="list every element, not just the cardinality")
-@click.option("--budget-elements", type=int, default=None)
-@click.option("--allow-large", is_flag=True,
-              help="lift the default degree cap on closures")
-def semigroup_generate(input, fmt, out, show_elements, budget_elements,
-                       allow_large):
+@BUDGET_ELEMENTS
+def semigroup_generate(input, fmt, out, show_elements, budget_elements):
     """Cardinality (and optionally elements) of the transition semigroup
     of the minimal DFA."""
-    sg = transition_semigroup(_load_dfa(input), allow_large=allow_large,
-                              max_elements=budget_elements)
+    sg = transition_semigroup(_load_dfa(input), max_elements=budget_elements)
     doc = {"degree": sg.degree, "cardinality": len(sg)}
     if show_elements:
         doc["elements"] = [list(t) for t in sg.sorted_elements()]
@@ -242,12 +245,12 @@ def semigroup_generate(input, fmt, out, show_elements, budget_elements,
 @click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
-@click.option("--allow-large", is_flag=True)
-def semigroup_classify(input, fmt, out, allow_large):
+@BUDGET_ELEMENTS
+def semigroup_classify(input, fmt, out, budget_elements):
     """Membership of the transition semigroup in bsf/vsf/wsf, plus the
     suffix-freeness of the language itself."""
     d = _load_dfa(input)
-    sg = transition_semigroup(d, allow_large=allow_large)
+    sg = transition_semigroup(d, max_elements=budget_elements)
     doc = {
         "cardinality": len(sg),
         "suffix_free": is_suffix_free(d),
@@ -262,11 +265,11 @@ def semigroup_classify(input, fmt, out, allow_large):
 @click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
-@click.option("--allow-large", is_flag=True)
-def semigroup_collisions(input, fmt, out, allow_large):
+@BUDGET_ELEMENTS
+def semigroup_collisions(input, fmt, out, budget_elements):
     """Colliding and focused middle-state pairs of the transition
     semigroup."""
-    sg = transition_semigroup(_load_dfa(input), allow_large=allow_large)
+    sg = transition_semigroup(_load_dfa(input), max_elements=budget_elements)
     _show({"colliding": [list(p) for p in sorted(colliding_pairs(sg))],
            "focused": [list(p) for p in sorted(focused_pairs(sg))]}, fmt, out)
 
@@ -327,9 +330,18 @@ def _report_line(r: dict) -> str:
             f"bound={r['bound']} {status}{note} [{r['runtime_ms']}ms]")
 
 
-@main.command("verify")
-@click.argument("measure", type=click.Choice([*MEASURES, *ALIASES, "all"],
-                                             case_sensitive=False))
+def _listing(label: str, names) -> str:
+    """label and the names, wrapped at spaces only, so no name breaks."""
+    return textwrap.fill(f"{label}: {', '.join(names)}", width=76,
+                         subsequent_indent="  ", break_on_hyphens=False)
+
+
+# A "\b" line keeps click from rewrapping the paragraph below it.
+@main.command("verify", epilog="\n".join([
+    "\b", _listing("Measures", MEASURES),
+    _listing("Aliases", [f"{a}={m}" for a, m in ALIASES.items()])]))
+@click.argument("measure", metavar="MEASURE", type=click.Choice(
+    [*MEASURES, *ALIASES, "all"], case_sensitive=False))
 @click.option("--n", type=int, default=None)
 @click.option("--m", type=int, default=None)
 @click.option("--family", type=click.Choice(["d5", "d6"]), default=None,

@@ -16,7 +16,6 @@ from .automata import (
     EPSILON,
     Dfa,
     Nfa,
-    Transformation,
     determinize,
     minimize,
 )
@@ -175,21 +174,15 @@ def boolean_full(d1: Dfa, d2: Dfa, op: BooleanOp) -> OpResult:
     index = {start: 0}
     order = [start]
     rows = {a: [] for a in alphabet}
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        i += 1
+    for p, q in order:
         for a in alphabet:
             nxt = (d1.delta[a][p], d2.delta[a][q])
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
             rows[a].append(index[nxt])
-    delta = {a: Transformation(rows[a]) for a in alphabet}
-    finals = frozenset(
-        i for (p, q), i in index.items() if rule(p in d1.finals, q in d2.finals)
-    )
-    raw = Dfa(len(order), alphabet, delta, 0, finals)
+    finals = [i for (p, q), i in index.items() if rule(p in d1.finals, q in d2.finals)]
+    raw = Dfa(len(order), alphabet, rows, 0, finals)
     return OpResult(minimize(raw), raw.state_count)
 
 

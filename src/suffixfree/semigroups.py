@@ -14,16 +14,19 @@ a distinguished sink n-1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
-from .automata import BudgetError, Dfa, Transformation, minimize
+from .automata import BudgetError, Dfa, Transformation, _relabel, minimize
 
 BSF = "bsf"
 VSF = "vsf"
 WSF = "wsf"
 
-#: Default cap on closure degree; larger degrees need allow_large=True.
-MAX_CLOSURE_DEGREE = 8
+#: Default cap on closure size: 2**22 admits |wsf(9)| = 8**7 + 7.  A
+#: closure holds each element as a bytes object in a list and a set,
+#: about 140 bytes an element at its peak (wsf(9) peaks near 320 MB),
+#: so a closure that reaches the cap takes some 600 MB.
+MAX_CLOSURE_ELEMENTS = 2 ** 22
 #: Default cap on exhaustive n**n enumeration.
 MAX_ENUMERATION_DEGREE = 8
 
@@ -188,22 +191,22 @@ def in_wsf(t) -> bool:
 _PREDICATE = {BSF: in_bsf, VSF: in_vsf, WSF: in_wsf}
 
 
-def _close(degree: int, gens, guard=None, max_elements: int = None):
+def _close(degree: int, gens, guard=None, max_elements: int = MAX_CLOSURE_ELEMENTS):
     """Closure of bytes-encoded transformations (entry q is q's image).
 
     t * g (t first) is t.translate(g + bytes(range(degree, 256))), found
     in BFS order with generators in the given order, as Froidure and Pin
     (1997) enumerate the right Cayley graph.  Returns (elements, escape):
     the elements in discovery order, and the first (t, g) with t * g
-    outside guard (a set holding the generators), else None.
+    outside guard (a set holding the generators), else None.  More than
+    max_elements elements raise BudgetError.
     """
     tail = bytes(range(degree, 256))
     tables = [g + tail for g in gens]
     queue = list(dict.fromkeys(gens))
     seen = set(queue)
-    limit = float("inf") if max_elements is None else max_elements
     for t in queue:
-        if len(queue) > limit:
+        if len(queue) > max_elements:
             raise BudgetError(f"closure exceeded max_elements={max_elements}")
         for table in tables:
             u = t.translate(table)
@@ -215,25 +218,20 @@ def _close(degree: int, gens, guard=None, max_elements: int = None):
     return queue, None
 
 
-def generate(degree: int, generators, names=None, allow_large: bool = False,
-             max_elements: int = None) -> TransitionSemigroup:
+def generate(degree: int, generators, names=None,
+             max_elements: int = MAX_CLOSURE_ELEMENTS) -> TransitionSemigroup:
     """Smallest composition-closed set containing the generators.
 
     BFS closure by right-composition, generators in the given order, on
     bytes elements: each composition is one bytes.translate, run in C.
     The semigroup keeps those bytes; one C pass checks that every image
-    lies in 0..degree-1.  Degrees >= 9 need allow_large (wsf(9) alone has
-    8**7 + 7 elements); the byte encoding caps the degree at 256.  More
+    lies in 0..degree-1.  The byte encoding caps the degree at 256.  More
     than max_elements elements raise BudgetError.
     """
     gens = [Transformation(g) for g in generators]
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    if degree > MAX_CLOSURE_DEGREE and not allow_large:
-        raise BudgetError(
-            f"closure at degree {degree} exceeds the default budget "
-            f"(max {MAX_CLOSURE_DEGREE}); pass allow_large=True to override")
     if degree > 256:
         raise BudgetError(f"closure at degree {degree} exceeds the byte "
                           "encoding's limit (max 256)")
@@ -260,18 +258,11 @@ def _sink_last(d: Dfa) -> Dfa:
     sinks = d.empty_states()
     if len(sinks) != 1 or sinks[0] == n - 1:
         return d
-    order = [q for q in range(n) if q != sinks[0]] + sinks
-    new_of = {old: new for new, old in enumerate(order)}
-    delta = {
-        a: Transformation([new_of[d.delta[a][old]] for old in order])
-        for a in d.alphabet
-    }
-    finals = frozenset(new_of[q] for q in d.finals)
-    return Dfa(n, d.alphabet, delta, new_of[d.initial], finals)
+    return _relabel(d, [q for q in range(n) if q != sinks[0]] + sinks)
 
 
-def transition_semigroup(d: Dfa, allow_large: bool = False,
-                         max_elements: int = None) -> TransitionSemigroup:
+def transition_semigroup(d: Dfa, max_elements: int = MAX_CLOSURE_ELEMENTS
+                         ) -> TransitionSemigroup:
     """Transition semigroup of the minimal DFA of d's language, with the
     empty state (if present) numbered last."""
     m = _sink_last(minimize(d))
@@ -279,7 +270,6 @@ def transition_semigroup(d: Dfa, allow_large: bool = False,
         m.state_count,
         [m.delta[a] for a in m.alphabet],
         names=list(m.alphabet),
-        allow_large=allow_large,
         max_elements=max_elements,
     )
 
@@ -321,20 +311,9 @@ def is_subsemigroup_of(s: TransitionSemigroup, cls: str) -> bool:
 def colliding_pairs(s: TransitionSemigroup) -> frozenset:
     """Unordered middle-state pairs {p,q} such that some element sends 0
     to p while sending another middle state to q."""
-    return _colliding_pairs(s.degree, s._raw)
-
-
-def focused_pairs(s: TransitionSemigroup) -> frozenset:
-    """Unordered middle-state pairs merged by some element into a common
-    middle (non-sink, non-initial) state."""
-    return _focused_pairs(s.degree, s._raw)
-
-
-def _colliding_pairs(n: int, elements) -> frozenset:
-    """colliding_pairs on images of degree n: Transformations or the
-    bytes of the closure kernel."""
+    n = s.degree
     pairs = set()
-    for t in elements:
+    for t in s._raw:
         p = t[0]
         if p == n - 1 or p == 0:
             continue
@@ -345,20 +324,19 @@ def _colliding_pairs(n: int, elements) -> frozenset:
     return frozenset(pairs)
 
 
-def _focused_pairs(n: int, elements) -> frozenset:
-    """focused_pairs on images of degree n: Transformations or the
-    bytes of the closure kernel."""
+def focused_pairs(s: TransitionSemigroup) -> frozenset:
+    """Unordered middle-state pairs merged by some element into a common
+    middle (non-sink, non-initial) state."""
+    n = s.degree
     pairs = set()
-    for t in elements:
+    for t in s._raw:
         targets: dict = {}
         for q in range(1, n - 1):
             targets.setdefault(t[q], []).append(q)
         for r, qs in targets.items():
             if r in (0, n - 1):
                 continue
-            for i in range(len(qs)):
-                for j in range(i + 1, len(qs)):
-                    pairs.add((qs[i], qs[j]))
+            pairs.update(combinations(qs, 2))
     return frozenset(pairs)
 
 

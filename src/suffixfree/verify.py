@@ -16,7 +16,7 @@ from itertools import combinations, groupby
 from typing import Callable
 
 from .atoms import atom_complexity, atoms, middle_basis_bound, syntactic_complexity
-from .automata import BudgetError, quotient_complexity
+from .automata import BudgetError
 from .langops import BooleanOp, boolean, concat, reverse, star
 from .semigroups import (
     BSF,
@@ -24,9 +24,9 @@ from .semigroups import (
     WSF,
     TransitionSemigroup,
     _close,
-    _colliding_pairs,
-    _focused_pairs,
+    colliding_pairs,
     enumerate_class,
+    focused_pairs,
     generate,
     is_subsemigroup_of,
     transition_semigroup,
@@ -127,7 +127,7 @@ def _report(measure, params, asserted, compute, bound):
 def verify_star(n: int) -> ComplexityReport:
     return _report(
         "star", {"n": n}, asserted=n >= 6,
-        compute=lambda: quotient_complexity(star(d5(n, "a,b,-"))),
+        compute=lambda: star(d5(n, "a,b,-")).state_count,
         bound=star_bound(n),
     )
 
@@ -135,7 +135,7 @@ def verify_star(n: int) -> ComplexityReport:
 def verify_product(m: int, n: int) -> ComplexityReport:
     return _report(
         "product", {"m": m, "n": n}, asserted=m >= 6 and n >= 6,
-        compute=lambda: quotient_complexity(concat(d5(m), d5(n, "b,c,a"))),
+        compute=lambda: concat(d5(m), d5(n, "b,c,a")).state_count,
         bound=product_bound(m, n),
     )
 
@@ -146,7 +146,7 @@ def verify_product_binary(m: int, n: int) -> ComplexityReport:
     return _report(
         "product-binary", {"m": m, "n": n, "coprime": coprime},
         asserted=m >= 6 and n >= 6 and coprime,
-        compute=lambda: quotient_complexity(concat(left, right)),
+        compute=lambda: concat(left, right).state_count,
         bound=product_bound(m, n),
     )
 
@@ -168,7 +168,7 @@ def verify_boolean(m: int, n: int, op: BooleanOp, family: str = "d6") -> Complex
     return _report(
         f"boolean-{op.value}", {"m": m, "n": n, "family": family},
         asserted=in_range,
-        compute=lambda: quotient_complexity(boolean(w1, w2, op)),
+        compute=lambda: boolean(w1, w2, op).state_count,
         bound=BOOLEAN_BOUNDS[op](m, n),
     )
 
@@ -176,7 +176,7 @@ def verify_boolean(m: int, n: int, op: BooleanOp, family: str = "d6") -> Complex
 def verify_reversal(n: int) -> ComplexityReport:
     return _report(
         "reversal", {"n": n}, asserted=n >= 4,
-        compute=lambda: quotient_complexity(reverse(d6(n, "a,-,c,-,e"))),
+        compute=lambda: reverse(d6(n, "a,-,c,-,e")).state_count,
         bound=reversal_bound(n),
     )
 
@@ -327,9 +327,7 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
         raise BudgetError("generator-set size cap is 3")
     bsf = [bytes(t) for t in sorted(enumerate_class(n, BSF))]
     bsf_set = set(bsf)
-    all_middle_pairs = frozenset(
-        (p, q) for p in range(1, n - 1) for q in range(p + 1, n - 1)
-    )
+    all_middle_pairs = frozenset(combinations(range(1, n - 1), 2))
     found = 0
     best = 0
     any_both = False
@@ -340,9 +338,10 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
                 continue
             found += 1
             best = max(best, len(elements))
+            closure = TransitionSemigroup._of_bytes(n, elements)
             if (all_middle_pairs
-                    and _colliding_pairs(n, elements) == all_middle_pairs
-                    and _focused_pairs(n, elements) == all_middle_pairs):
+                    and colliding_pairs(closure) == all_middle_pairs
+                    and focused_pairs(closure) == all_middle_pairs):
                 any_both = True
     return SearchReport(
         degree=n,

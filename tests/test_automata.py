@@ -305,3 +305,54 @@ def test_is_isomorphic_alphabet_mismatch_is_false():
     d = Dfa(1, ("a",), {"a": (0,)}, 0, {0})
     e = Dfa(1, ("b",), {"b": (0,)}, 0, {0})
     assert not is_isomorphic(d, e)
+
+
+def _renamed(d: Dfa, perm: list, alphabet: tuple) -> Dfa:
+    """d with state q renamed perm[q] and its letters listed in the
+    given order."""
+    delta = {}
+    for a in alphabet:
+        row = [0] * d.state_count
+        for q in range(d.state_count):
+            row[perm[q]] = perm[d.delta[a][q]]
+        delta[a] = row
+    return Dfa(d.state_count, alphabet, delta, perm[d.initial],
+               [perm[q] for q in d.finals])
+
+
+def _random_initial(rng: random.Random, n: int, letters: int) -> Dfa:
+    d = random_dfa(rng, n, letters)
+    return Dfa(n, d.alphabet, d.delta, rng.randrange(n), d.finals)
+
+
+def test_is_isomorphic_under_permuted_states_and_shuffled_letters():
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        d = _random_initial(rng, n, rng.randrange(1, 4))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        letters = list(d.alphabet)
+        rng.shuffle(letters)
+        e = _renamed(d, perm, tuple(letters))
+        assert is_isomorphic(d, e) and is_isomorphic(e, d)
+
+
+def test_is_isomorphic_agrees_with_reference_minimize():
+    rng = random.Random(59)
+    outcomes = set()
+    for _ in range(400):
+        letters = rng.randrange(1, 3)
+        d1 = _random_initial(rng, rng.randrange(1, 5), letters)
+        d2 = _random_initial(rng, rng.randrange(1, 5), letters)
+        shuffled = list(d2.alphabet)
+        rng.shuffle(shuffled)
+        d2 = _renamed(d2, list(range(d2.state_count)), tuple(shuffled))
+        r1 = reference_minimize(d1)
+        r2 = reference_minimize(_renamed(d2, list(range(d2.state_count)),
+                                         d1.alphabet))
+        same = r1.to_dict() == r2.to_dict()
+        assert is_isomorphic(d1, d2) == same
+        outcomes.add((same, r1.state_count == r2.state_count))
+    # Both answers occur, and some pairs of equal minimal size differ.
+    assert outcomes >= {(True, True), (False, True), (False, False)}

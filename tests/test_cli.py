@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from suffixfree.atoms import AtomRow
 from suffixfree.automata import Dfa, is_isomorphic
 from suffixfree.cli import main, run
 from suffixfree.langops import star
+from suffixfree.verify import ALIASES, MEASURES
 from suffixfree.witnesses import d5, d6
 
 
@@ -147,6 +149,18 @@ def test_semigroup_collisions(runner, tmp_path):
     assert doc["focused"] == [[1, 2], [1, 3], [2, 3]]
 
 
+@pytest.mark.parametrize("command", ["generate", "classify", "collisions"])
+def test_semigroup_commands_share_the_element_budget(tmp_path, monkeypatch,
+                                                      capsys, command):
+    src = write_dfa(tmp_path, "in.json", d6(5))
+    monkeypatch.setattr(sys, "argv", ["sfc", "semigroup", command, src,
+                                      "--budget-elements", "10"])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
+    assert "max_elements=10" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # atoms
 
@@ -222,6 +236,16 @@ def test_verify_star_exit_zero(runner):
     result = invoke(runner, "verify", "star", "--n", "6")
     assert result.exit_code == 0
     assert "met" in result.output
+
+
+def test_verify_help_lists_every_measure_unbroken(runner):
+    result = invoke(runner, "verify", "--help", env={"COLUMNS": "80"})
+    assert result.exit_code == 0
+    assert "verify [OPTIONS] MEASURE" in result.output
+    assert max(map(len, result.output.splitlines())) <= 80
+    for name in [*MEASURES, *ALIASES]:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])",
+                         result.output), name
 
 
 def test_verify_unknown_measure_exit_two(runner):

@@ -224,9 +224,8 @@ def test_generate_wsf_8_by_closure():
 
 
 def test_generate_budget_errors():
-    with pytest.raises(BudgetError):
-        generate(9, [Transformation.identity(9)])
-    big = generate(9, [Transformation.identity(9)], allow_large=True)
+    assert wsf_cardinality(9) <= semigroups.MAX_CLOSURE_ELEMENTS <= 2 ** 22
+    big = generate(9, [Transformation.identity(9)])
     assert len(big) == 1
     with pytest.raises(BudgetError):
         generate(5, [t for _, t in vsf_generators(5)], max_elements=10)
@@ -236,9 +235,18 @@ def test_generate_budget_errors():
 
 def test_generate_rejects_degree_past_byte_encoding():
     with pytest.raises(BudgetError, match="256"):
-        generate(257, [Transformation.identity(257)], allow_large=True)
-    top = generate(256, [Transformation.identity(256)], allow_large=True)
+        generate(257, [Transformation.identity(257)])
+    top = generate(256, [Transformation.identity(256)])
     assert top.elements == frozenset({Transformation.identity(256)})
+
+
+def test_nine_cycle_closes_by_default():
+    cycle = [(q + 1) % 9 for q in range(9)]
+    assert len(generate(9, [cycle])) == 9
+    d = Dfa(9, ("a",), {"a": cycle}, 0, {0})
+    assert len(transition_semigroup(d)) == 9
+    with pytest.raises(BudgetError, match="max_elements=8"):
+        transition_semigroup(d, max_elements=8)
 
 
 def test_generate_matches_reference_closure():
