@@ -13,17 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automata import Dfa, _mask, _refine, _subsets, minimize, quotient_complexity
+from .automata import (
+    Dfa, _mask, _refine, _subset_images, _subsets, minimize, quotient_complexity)
 from .semigroups import transition_semigroup
-
-
-def _subset_images(image: list) -> list:
-    """OR of image[q] over the q in each subset of range(len(image)),
-    indexed by the subset's bitmask."""
-    table = [0]
-    for bits in image:
-        table += [t | bits for t in table]
-    return table
 
 
 def _atom_pairs(d: Dfa, basis) -> tuple:

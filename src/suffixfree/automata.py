@@ -35,6 +35,8 @@ class Transformation(tuple):
     __slots__ = ()
 
     def __new__(cls, image: Iterable[int]) -> "Transformation":
+        if type(image) is cls:
+            return image  # validated when it was built, and immutable
         # Hot callers pass lists: tuple() of a generator allocates a
         # guessed size and shrinks it, so each temporary adds an entry to
         # the free list of its final size.  Those entries pile up and pin
@@ -43,6 +45,8 @@ class Transformation(tuple):
         n = len(image)
         if n < 1:
             raise ValueError("transformation degree must be >= 1")
+        if not {int}.issuperset(map(type, image)):
+            raise ValueError(f"images must be int state numbers: {image}")
         if min(image) < 0 or max(image) >= n:
             raise ValueError(f"images must lie in 0..{n - 1}: {image}")
         return tuple.__new__(cls, image)
@@ -190,6 +194,8 @@ class Nfa:
     finals: frozenset
 
     def __init__(self, state_count, alphabet, transitions, initials, finals):
+        if type(state_count) is not int or state_count < 0:
+            raise ValueError(f"state_count must be an int >= 0, got {state_count!r}")
         alphabet = tuple(alphabet)
         _check_letters(alphabet)
         transitions = frozenset(tuple(t) for t in transitions)
@@ -243,6 +249,22 @@ def _union(rows: list, mask: int) -> int:
     return out
 
 
+#: Subset bits looked up at once.  A subset of k states is cut into
+#: ceil(k / _CHUNK_BITS) chunks, each with a table of 2**w entries
+#: (w <= _CHUNK_BITS), so the tables stay within ceil(k / 12) * 4096
+#: entries however large k is; plain halves would need 2 * 2**(k/2).
+_CHUNK_BITS = 12
+
+
+def _subset_images(image: list) -> list:
+    """OR of image[q] over the q in each subset of range(len(image)),
+    indexed by the subset's bitmask."""
+    table = [0]
+    for bits in image:
+        table += [t | bits for t in table]
+    return table
+
+
 def _subsets(start: int, tables: list) -> tuple:
     """Reachable-subset BFS over int bitmasks, the one subset
     construction of the package.
@@ -251,13 +273,33 @@ def _subsets(start: int, tables: list) -> tuple:
     the q in S; tables are scanned in the given order.  Returns the
     subsets in discovery order and, per table, the row of successor
     indices.
+
+    State q's images under all tables are packed into one int, k bits
+    apart (k = len(t)).  The k state bits are cut into chunks of w bits,
+    and each chunk has a table of the packed images of its 2**w subsets.
+    So one step is one lookup per chunk, and the OR of those lookups
+    holds S's image under every table at once.
     """
+    k = len(tables[0]) if tables else 0
+    packed = [0] * k
+    for j, table in enumerate(tables):
+        for q, bits in enumerate(table):
+            packed[q] |= bits << j * k
+    c = -(-k // _CHUNK_BITS)  # chunks of w bits, as even as they come
+    w = -(-k // c) if k else 1
+    low = (1 << w) - 1
+    chunks = [(i, _subset_images(packed[i:i + w])) for i in range(0, k, w)]
+    full = (1 << k) - 1
     index = {start: 0}
     order = [start]
     rows = [[] for _ in tables]
     for s in order:
-        for table, row in zip(tables, rows):
-            nxt = _union(table, s)
+        image = 0
+        for shift, chunk in chunks:
+            image |= chunk[s >> shift & low]
+        for row in rows:
+            nxt = image & full
+            image >>= k
             i = index.get(nxt)
             if i is None:
                 i = index[nxt] = len(order)

@@ -13,6 +13,7 @@ a distinguished sink n-1:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -326,18 +327,24 @@ def colliding_pairs(s: TransitionSemigroup) -> frozenset:
 
 def focused_pairs(s: TransitionSemigroup) -> frozenset:
     """Unordered middle-state pairs merged by some element into a common
-    middle (non-sink, non-initial) state."""
+    middle (non-sink, non-initial) state.
+
+    Scans byte columns: column q holds q's image under every element.
+    The left copy of each column marks 0 and n-1 as n-1, the right copy
+    marks them as 0, so a merge into 0 or n-1 never matches; {p, q} is
+    focused iff the left column of p and the right column of q agree at
+    some element.
+    """
     n = s.degree
-    pairs = set()
-    for t in s._raw:
-        targets: dict = {}
-        for q in range(1, n - 1):
-            targets.setdefault(t[q], []).append(q)
-        for r, qs in targets.items():
-            if r in (0, n - 1):
-                continue
-            pairs.update(combinations(qs, 2))
-    return frozenset(pairs)
+    joined = b"".join(s._raw)
+    left, right = bytearray(range(256)), bytearray(range(256))
+    left[0] = n - 1
+    right[n - 1] = 0
+    lefts = [joined[q::n].translate(left) for q in range(n)]
+    rights = [joined[q::n].translate(right) for q in range(n)]
+    return frozenset(
+        (p, q) for p, q in combinations(range(1, n - 1), 2)
+        if any(map(operator.eq, lefts[p], rights[q])))
 
 
 def _cycle(image: list, states) -> None:

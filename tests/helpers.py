@@ -3,7 +3,7 @@ reference implementations used as oracles."""
 
 import random
 from collections import deque
-from itertools import product
+from itertools import combinations, product
 
 from suffixfree.automata import (
     EPSILON, Dfa, Nfa, Transformation, canonicalize, minimize)
@@ -29,6 +29,23 @@ def reference_closure(generators) -> frozenset:
                 seen.add(u)
                 queue.append(u)
     return frozenset(seen)
+
+
+def reference_focused_pairs(s) -> frozenset:
+    """Focused pairs by grouping each element's middle states by their
+    image, independent of the column scan behind
+    semigroups.focused_pairs."""
+    n = s.degree
+    pairs = set()
+    for t in s.elements:
+        targets: dict = {}
+        for q in range(1, n - 1):
+            targets.setdefault(t[q], []).append(q)
+        for r, qs in targets.items():
+            if r in (0, n - 1):
+                continue
+            pairs.update(combinations(qs, 2))
+    return frozenset(pairs)
 
 
 def _edge_map(n: Nfa) -> dict:

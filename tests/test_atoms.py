@@ -15,7 +15,7 @@ from suffixfree.atoms import (
     suffix_free_atom_bound,
     syntactic_complexity,
 )
-from suffixfree.automata import Dfa, is_isomorphic, minimize, quotient_complexity
+from suffixfree.automata import Dfa, Nfa, is_isomorphic, minimize, quotient_complexity
 from suffixfree.langops import BooleanOp, boolean, reverse
 from suffixfree.semigroups import wsf_cardinality
 from suffixfree.witnesses import d6
@@ -25,6 +25,7 @@ from helpers import (
     random_dfa,
     reference_atom_dfa,
     reference_atoms,
+    reference_determinize,
     reference_raw_atom_dfa,
 )
 
@@ -89,6 +90,18 @@ def test_atom_count_equals_reverse_complexity():
 def test_atoms_of_a_21_state_cycle():
     d = Dfa(21, ("a",), {"a": tuple((q + 1) % 21 for q in range(21))}, 0, {0})
     assert atoms(d) == frozenset(frozenset({q}) for q in range(21))
+
+
+def test_atom_count_across_three_chunks():
+    # 27 states cut the subset kernel's lookups into three chunks of 9.
+    n = 27
+    cycle = [(q + 1) % n for q in range(n)]
+    merge = [1] + list(range(1, n))
+    d = Dfa(n, "ab", {"a": cycle, "b": merge}, 0, {0})
+    reversed_nfa = Nfa(n, d.alphabet, [(r, a, q) for a in d.alphabet
+                                       for q, r in enumerate(d.delta[a])],
+                       d.finals, {d.initial})
+    assert len(atoms(d)) == reference_determinize(reversed_nfa).state_count == 704
 
 
 def test_atoms_match_reference_sweep_on_d6():

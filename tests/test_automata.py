@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -36,6 +37,15 @@ def test_transformation_validates_entries():
         Transformation((0, 5, 1))
     with pytest.raises(ValueError):
         Transformation(())
+
+
+def test_transformation_rejects_non_int_images():
+    # 1.0 passes a range check, so without a type check to_dict would
+    # emit 1.0 and star would fail deep in the subset kernel.
+    with pytest.raises(ValueError, match=r"\(1\.0, 0\)"):
+        Dfa(2, ["a"], {"a": [1.0, 0]}, 0, [1])
+    with pytest.raises(ValueError, match="True"):
+        Transformation((True, 0))
 
 
 def test_identity_composes_neutrally():
@@ -120,6 +130,13 @@ def test_alphabet_letters_must_be_non_empty_strings():
         Nfa(2, (None,), [], {0}, {1})
 
 
+def test_nfa_state_count_must_be_a_non_negative_int():
+    for count in (-3, 2.0, "2"):
+        with pytest.raises(ValueError, match="state_count"):
+            Nfa(count, ["a"], [], [], [])
+    assert determinize(Nfa(0, ["a"], [], [], [])).state_count == 1
+
+
 def test_from_dict_names_the_malformed_field():
     doc = d6(4).to_dict()
     cases = {
@@ -183,6 +200,30 @@ def test_determinize_matches_reference_on_random_nfas():
     for _ in range(400):
         n = random_nfa(rng, rng.randrange(9), rng.randrange(1, 4))
         assert determinize(n).to_dict() == reference_determinize(n).to_dict()
+
+
+def test_determinize_matches_reference_across_chunk_boundaries():
+    # The subset kernel looks subsets up in chunks of at most 12 states:
+    # one chunk up to 12 states, two up to 24, three beyond.
+    rng = random.Random(12)
+    for size in (0, 1, 11, 12, 13, 24, 25, 30):
+        for letters in range(4):
+            for _ in range(10):
+                n = random_nfa(rng, size, letters)
+                assert determinize(n).to_dict() == reference_determinize(n).to_dict()
+
+
+def test_determinize_of_a_large_dfa_keeps_its_tables_small():
+    # Half tables would need 2 * 2**100 entries at 200 states.
+    rng = random.Random(200)
+    n = 200
+    cycle = [(q + 1) % n for q in range(n)]
+    d = Dfa(n, "ab", {"a": cycle, "b": random_transformation(rng, n)}, 0,
+            [q for q in range(n) if rng.random() < 0.5])
+    start = time.perf_counter()
+    out = determinize(Nfa.from_dfa(d))
+    assert time.perf_counter() - start < 1.0
+    assert out == canonicalize(d)
 
 
 def test_determinize_matches_reference_on_witness_nfas(monkeypatch):

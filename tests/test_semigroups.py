@@ -25,9 +25,11 @@ from suffixfree.semigroups import (
     wsf_generators,
     zero_path,
 )
+from suffixfree.verify import star_side_semigroup
 from suffixfree.witnesses import d5, d6
 
-from helpers import random_transformation, reference_closure
+from helpers import (
+    random_transformation, reference_closure, reference_focused_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +346,19 @@ def test_pair_duality_between_vsf_and_wsf():
         assert focused_pairs(v) == frozenset()
         assert colliding_pairs(w) == frozenset()
         assert focused_pairs(w) == middles
+
+
+def test_focused_pairs_match_reference():
+    cases = [transition_semigroup(d6(n)) for n in range(4, 9)]
+    cases += [generate(n, [t for _, t in gens(n)])
+                    for n in range(4, 8) for gens in (vsf_generators, wsf_generators)]
+    cases.append(star_side_semigroup(6))
+    # Random generators also merge middle states into 0, unlike bsf(n).
+    rng = random.Random(5)
+    cases += [generate(n, [random_transformation(rng, n) for _ in range(2)])
+              for n in (2, 3, 5, 6) for _ in range(5)]
+    for s in cases:
+        assert focused_pairs(s) == reference_focused_pairs(s)
 
 
 # ---------------------------------------------------------------------------
