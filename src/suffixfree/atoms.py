@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .automata import (
-    Dfa, _mask, _refine, _subset_images, _subsets, minimize, quotient_complexity)
+    Dfa, _chunk_tables, _mask, _preimages, _refine, _subsets, minimize,
+    quotient_complexity)
 from .semigroups import transition_semigroup
 
 
@@ -35,24 +36,23 @@ def _atom_pairs(d: Dfa, basis) -> tuple:
         raise ValueError("basis must be a subset of the state set")
     full = (1 << n) - 1
     sink = full << n | full
-    # A subset's image is the OR of two table entries, one per half of
-    # the states, so each letter's tables hold 2 * 2**(n/2) entries.
-    h = n // 2
-    low = (1 << h) - 1
-    halves = []
-    for a in d.alphabet:
-        image = [1 << r for r in d.delta[a]]
-        halves.append((_subset_images(image[:h]), _subset_images(image[h:])))
+    # X and Y step through the subset kernel's tables: one lookup per
+    # chunk gives a part's images under every letter, n bits apart.
+    low, chunks = _chunk_tables([[1 << r for r in d.delta[a]] for a in d.alphabet])
     b = _mask(basis)
     index = {(full ^ b) << n | b: 0}
     order = list(index)
     rows = [[] for _ in d.alphabet]
     for state in order:
         x, y = state & full, state >> n
-        xl, xh, yl, yh = x & low, x >> h, y & low, y >> h
-        for (lo, hi), row in zip(halves, rows):
-            xa = lo[xl] | hi[xh]
-            ya = lo[yl] | hi[yh]
+        xs = ys = 0
+        for shift, chunk in chunks:
+            xs |= chunk[x >> shift & low]
+            ys |= chunk[y >> shift & low]
+        for row in rows:
+            xa, ya = xs & full, ys & full
+            xs >>= n
+            ys >>= n
             nxt = sink if xa & ya else ya << n | xa
             i = index.get(nxt)
             if i is None:
@@ -85,15 +85,9 @@ def atoms(d: Dfa) -> frozenset:
     construction reaches from F, stepping through per-letter preimage
     tables (Brzozowski and Tamm, "Theory of atomata", TCS 539, 2014).
     """
-    n = d.state_count
-    preimages = []
-    for a in d.alphabet:
-        pre = [0] * n
-        for q, r in enumerate(d.delta[a]):
-            pre[r] |= 1 << q
-        preimages.append(pre)
-    order, _ = _subsets(_mask(d.finals), preimages)
-    return frozenset(frozenset(q for q in range(n) if s >> q & 1) for s in order)
+    order, _ = _subsets(_mask(d.finals), _preimages(d))
+    return frozenset(frozenset(q for q in range(d.state_count) if s >> q & 1)
+                     for s in order)
 
 
 def atom_complexity(d: Dfa, basis) -> int:

@@ -95,16 +95,16 @@ class Dfa:
         if set(delta) != set(alphabet):
             raise ValueError("delta must be defined for exactly the alphabet")
         delta = {a: Transformation(delta[a]) for a in alphabet}
-        if state_count < 1:
-            raise ValueError("state_count must be >= 1")
+        if type(state_count) is not int or state_count < 1:
+            raise ValueError(f"state_count must be an int >= 1, got {state_count!r}")
         for a, t in delta.items():
             if t.degree != state_count:
                 raise ValueError(f"letter {a!r} has degree {t.degree}, want {state_count}")
         finals = frozenset(finals)
-        if not 0 <= initial < state_count:
-            raise ValueError("initial state out of range")
-        if any(not 0 <= f < state_count for f in finals):
-            raise ValueError("final state out of range")
+        if type(initial) is not int or not 0 <= initial < state_count:
+            raise ValueError(f"initial state must be an int in range, got {initial!r}")
+        if any(type(f) is not int or not 0 <= f < state_count for f in finals):
+            raise ValueError(f"final states must be ints in range: {finals!r}")
         object.__setattr__(self, "state_count", state_count)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "delta", delta)
@@ -249,20 +249,37 @@ def _union(rows: list, mask: int) -> int:
     return out
 
 
-#: Subset bits looked up at once.  A subset of k states is cut into
-#: ceil(k / _CHUNK_BITS) chunks, each with a table of 2**w entries
-#: (w <= _CHUNK_BITS), so the tables stay within ceil(k / 12) * 4096
-#: entries however large k is; plain halves would need 2 * 2**(k/2).
+#: Subset bits looked up at once.  k states are cut into c >= ceil(k/12)
+#: chunks of w = ceil(k/c) bits, adding chunks until the c * 2**w table
+#: entries fit max(2**13, 16k): none added up to 24 states, entries linear
+#: in k beyond.  Each entry packs k * |alphabet| bits, so bytes grow as k**2.
 _CHUNK_BITS = 12
 
 
-def _subset_images(image: list) -> list:
-    """OR of image[q] over the q in each subset of range(len(image)),
-    indexed by the subset's bitmask."""
-    table = [0]
-    for bits in image:
-        table += [t | bits for t in table]
-    return table
+def _chunk_tables(tables: list) -> tuple:
+    """The subset kernel's lookup tables, for one table per letter.
+
+    State q's images under all tables are packed into one int, k bits
+    apart (k = len(t)), and each chunk of w state bits has a table of
+    the packed images of its 2**w subsets: the OR of one lookup per chunk
+    is a subset's image under every table at once.  Returns the chunk
+    mask 2**w - 1 and each chunk's (shift, table)."""
+    k = len(tables[0]) if tables else 0
+    packed = [0] * k
+    for j, table in enumerate(tables):
+        for q, bits in enumerate(table):
+            packed[q] |= bits << j * k
+    c = -(-k // _CHUNK_BITS) or 1
+    while c * 2 ** -(-k // c) > max(2 << _CHUNK_BITS, 16 * k):
+        c += 1
+    w = -(-k // c) or 1
+    chunks = []
+    for i in range(0, k, w):
+        table = [0]
+        for bits in packed[i:i + w]:
+            table += [t | bits for t in table]
+        chunks.append((i, table))
+    return (1 << w) - 1, chunks
 
 
 def _subsets(start: int, tables: list) -> tuple:
@@ -273,22 +290,9 @@ def _subsets(start: int, tables: list) -> tuple:
     the q in S; tables are scanned in the given order.  Returns the
     subsets in discovery order and, per table, the row of successor
     indices.
-
-    State q's images under all tables are packed into one int, k bits
-    apart (k = len(t)).  The k state bits are cut into chunks of w bits,
-    and each chunk has a table of the packed images of its 2**w subsets.
-    So one step is one lookup per chunk, and the OR of those lookups
-    holds S's image under every table at once.
     """
     k = len(tables[0]) if tables else 0
-    packed = [0] * k
-    for j, table in enumerate(tables):
-        for q, bits in enumerate(table):
-            packed[q] |= bits << j * k
-    c = -(-k // _CHUNK_BITS)  # chunks of w bits, as even as they come
-    w = -(-k // c) if k else 1
-    low = (1 << w) - 1
-    chunks = [(i, _subset_images(packed[i:i + w])) for i in range(0, k, w)]
+    low, chunks = _chunk_tables(tables)
     full = (1 << k) - 1
     index = {start: 0}
     order = [start]
@@ -306,6 +310,25 @@ def _subsets(start: int, tables: list) -> tuple:
                 order.append(nxt)
             row.append(i)
     return order, rows
+
+
+def _subset_dfa(alphabet: tuple, start: int, tables: list, finals: int) -> Dfa:
+    """The DFA of one _subsets run with one table per letter: subsets
+    numbered in discovery order, final when they meet the finals mask."""
+    order, rows = _subsets(start, tables)
+    return Dfa(len(order), alphabet, dict(zip(alphabet, rows)), 0,
+               [i for i, s in enumerate(order) if s & finals])
+
+
+def _preimages(d: Dfa) -> list:
+    """Per letter, each state's preimages as a mask: the reversed tables."""
+    tables = []
+    for a in d.alphabet:
+        pre = [0] * d.state_count
+        for q, r in enumerate(d.delta[a]):
+            pre[r] |= 1 << q
+        tables.append(pre)
+    return tables
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -329,10 +352,8 @@ def determinize(n: Nfa) -> Dfa:
     # Closure distributes over union, so stepping a closed subset
     # through the closed successors of its states keeps it closed.
     tables = [[_union(closure, m) for m in succ[a]] for a in n.alphabet]
-    order, rows = _subsets(_union(closure, _mask(n.initials)), tables)
-    f = _mask(n.finals)
-    finals = [i for i, s in enumerate(order) if s & f]
-    return Dfa(len(order), n.alphabet, dict(zip(n.alphabet, rows)), 0, finals)
+    return _subset_dfa(n.alphabet, _union(closure, _mask(n.initials)), tables,
+                       _mask(n.finals))
 
 
 def _reachable(d: Dfa) -> list:

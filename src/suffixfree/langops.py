@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .automata import (
-    EPSILON,
-    Dfa,
-    Nfa,
-    determinize,
-    minimize,
-)
+from .automata import Dfa, _mask, _preimages, _subset_dfa, _subsets, minimize
 from .semigroups import BSF, is_subsemigroup_of, transition_semigroup
 
 
@@ -93,21 +87,21 @@ class OpResult:
     raw_states: int
 
 
-def _finish(n: Nfa) -> OpResult:
-    det = determinize(n)
-    return OpResult(minimize(det), det.state_count)
+def _finish(raw: Dfa) -> OpResult:
+    return OpResult(minimize(raw), raw.state_count)
 
 
 def star_full(d: Dfa) -> OpResult:
-    """Kleene star via an epsilon-NFA: a fresh accepting initial state
-    and empty-word transitions from every final state back to d's
-    initial state."""
-    fresh = d.state_count
-    triples = [(q, a, d.delta[a][q]) for a in d.alphabet for q in range(d.state_count)]
-    triples.append((fresh, EPSILON, d.initial))
-    triples += [(f, EPSILON, d.initial) for f in d.finals]
-    nfa = Nfa(d.state_count + 1, d.alphabet, triples, {fresh}, d.finals | {fresh})
-    return _finish(nfa)
+    """Kleene star by the subset construction over d's states and a
+    fresh accepting initial state n.  Entering a final state also enters
+    d's initial state (the empty-word move back to it), so each table
+    entry is already closed under that move."""
+    n = d.state_count
+    back = 1 << d.initial
+    tables = [[1 << r | (back if r in d.finals else 0) for r in d.delta[a]] + [0]
+              for a in d.alphabet]
+    return _finish(_subset_dfa(d.alphabet, 1 << n | back, tables,
+                               _mask(d.finals) | 1 << n))
 
 
 def star(d: Dfa) -> Dfa:
@@ -115,28 +109,19 @@ def star(d: Dfa) -> Dfa:
 
 
 def concat_full(d1: Dfa, d2: Dfa) -> OpResult:
-    """Concatenation via the standard epsilon-NFA: the first automaton's
-    final states become non-final and get empty-word transitions to the
-    second automaton's initial state."""
+    """Concatenation by the subset construction over d1's states and
+    d2's, shifted past them.  Entering a final state of d1 also enters
+    d2's initial state (the empty-word move to it), so each table entry
+    is already closed under that move."""
     if set(d1.alphabet) != set(d2.alphabet):
         raise ValueError(
             f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")
     off = d1.state_count
-    triples = [(q, a, d1.delta[a][q]) for a in d1.alphabet for q in range(off)]
-    triples += [
-        (off + q, a, off + d2.delta[a][q])
-        for a in d2.alphabet
-        for q in range(d2.state_count)
-    ]
-    triples += [(f, EPSILON, off + d2.initial) for f in d1.finals]
-    nfa = Nfa(
-        off + d2.state_count,
-        d1.alphabet,
-        triples,
-        {d1.initial},
-        frozenset(off + f for f in d2.finals),
-    )
-    return _finish(nfa)
+    hand = 1 << (off + d2.initial)
+    tables = [[1 << r | (hand if r in d1.finals else 0) for r in d1.delta[a]]
+              + [1 << (off + r) for r in d2.delta[a]] for a in d1.alphabet]
+    start = 1 << d1.initial | (hand if d1.initial in d1.finals else 0)
+    return _finish(_subset_dfa(d1.alphabet, start, tables, _mask(d2.finals) << off))
 
 
 def concat(d1: Dfa, d2: Dfa) -> Dfa:
@@ -144,10 +129,11 @@ def concat(d1: Dfa, d2: Dfa) -> Dfa:
 
 
 def reverse_full(d: Dfa) -> OpResult:
-    """Reversal: reverse all transitions and swap initial/final roles."""
-    triples = [(d.delta[a][q], a, q) for a in d.alphabet for q in range(d.state_count)]
-    nfa = Nfa(d.state_count, d.alphabet, triples, d.finals, {d.initial})
-    return _finish(nfa)
+    """Reversal: the subset construction from the final states through
+    each letter's preimages; a subset is final when it holds d's initial
+    state."""
+    return _finish(_subset_dfa(d.alphabet, _mask(d.finals), _preimages(d),
+                               1 << d.initial))
 
 
 def reverse(d: Dfa) -> Dfa:
@@ -182,8 +168,7 @@ def boolean_full(d1: Dfa, d2: Dfa, op: BooleanOp) -> OpResult:
                 order.append(nxt)
             rows[a].append(index[nxt])
     finals = [i for (p, q), i in index.items() if rule(p in d1.finals, q in d2.finals)]
-    raw = Dfa(len(order), alphabet, rows, 0, finals)
-    return OpResult(minimize(raw), raw.state_count)
+    return _finish(Dfa(len(order), alphabet, rows, 0, finals))
 
 
 def boolean(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:
@@ -202,23 +187,21 @@ def complement(d: Dfa) -> Dfa:
     return minimize(flipped)
 
 
-def _proper_suffix_language_nfa(d: Dfa) -> Nfa:
-    """NFA for sigma+ . L(d): loop on a fresh state reading any prefix of
-    length >= 1, nondeterministically handing over to d."""
-    u = d.state_count
-    triples = [(q, a, d.delta[a][q]) for a in d.alphabet for q in range(d.state_count)]
-    for a in d.alphabet:
-        triples.append((u, a, u))
-        triples.append((u, a, d.initial))
-    return Nfa(d.state_count + 1, d.alphabet, triples, {u}, d.finals)
-
-
 def is_suffix_free(d: Dfa) -> bool:
     """True iff no proper suffix of a word of L(d) is itself in L(d),
-    decided exactly as emptiness of L intersected with sigma+ L."""
-    shifted = determinize(_proper_suffix_language_nfa(d))
-    inter = boolean(d, shifted, BooleanOp.INTERSECTION)
-    return not inter.finals
+    decided exactly as emptiness of L intersected with sigma+ L, by one
+    subset construction over 2n + 1 bits: d's state on the word read so
+    far, d's states on its proper suffixes (shifted by n), and a start
+    bit 2n that every letter keeps and that hands each new suffix to d's
+    initial state."""
+    n = d.state_count
+    loop = 1 << 2 * n
+    hand = loop | 1 << (n + d.initial)
+    tables = [[1 << r for r in d.delta[a]] + [1 << (n + r) for r in d.delta[a]] + [hand]
+              for a in d.alphabet]
+    order, _ = _subsets(loop | 1 << d.initial, tables)
+    f = _mask(d.finals)
+    return not any(s & f and s >> n & f for s in order)
 
 
 @dataclass(frozen=True)

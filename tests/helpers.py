@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 from suffixfree.automata import (
     EPSILON, Dfa, Nfa, Transformation, canonicalize, minimize)
+from suffixfree.langops import BooleanOp, boolean
 
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:
@@ -92,6 +93,55 @@ def reference_determinize(n: Nfa) -> Dfa:
     delta = {a: Transformation(rows[a]) for a in n.alphabet}
     finals = frozenset(i for s, i in index.items() if s & n.finals)
     return Dfa(len(order), n.alphabet, delta, 0, finals)
+
+
+def _dfa_triples(d: Dfa, off: int = 0) -> list:
+    return [(off + q, a, off + d.delta[a][q])
+            for a in d.alphabet for q in range(d.state_count)]
+
+
+def reference_star_nfa(d: Dfa) -> Nfa:
+    """Kleene star as the textbook epsilon-NFA: a fresh accepting
+    initial state and empty-word transitions from it and from every
+    final state to d's initial state."""
+    fresh = d.state_count
+    triples = _dfa_triples(d) + [(q, EPSILON, d.initial) for q in d.finals | {fresh}]
+    return Nfa(fresh + 1, d.alphabet, triples, {fresh}, d.finals | {fresh})
+
+
+def reference_concat_nfa(d1: Dfa, d2: Dfa) -> Nfa:
+    """Concatenation as the textbook epsilon-NFA: d1's final states
+    become non-final and move on the empty word to d2's initial state."""
+    off = d1.state_count
+    triples = _dfa_triples(d1) + _dfa_triples(d2, off)
+    triples += [(f, EPSILON, off + d2.initial) for f in d1.finals]
+    return Nfa(off + d2.state_count, d1.alphabet, triples, {d1.initial},
+               {off + f for f in d2.finals})
+
+
+def reference_reverse_nfa(d: Dfa) -> Nfa:
+    """Reversal: every transition reversed, initial and final roles
+    swapped."""
+    triples = [(r, a, q) for q, a, r in _dfa_triples(d)]
+    return Nfa(d.state_count, d.alphabet, triples, d.finals, {d.initial})
+
+
+def reference_suffix_nfa(d: Dfa) -> Nfa:
+    """NFA for sigma+ . L(d): a fresh state loops on every letter and
+    hands over to d's initial state on every letter."""
+    u = d.state_count
+    triples = _dfa_triples(d)
+    triples += [(u, a, r) for a in d.alphabet for r in (u, d.initial)]
+    return Nfa(u + 1, d.alphabet, triples, {u}, d.finals)
+
+
+def reference_is_suffix_free(d: Dfa) -> bool:
+    """Suffix-freeness as emptiness of L intersected with sigma+ L: the
+    frozenset subset construction of reference_suffix_nfa, then the
+    product with d; independent of the subset kernel behind
+    langops.is_suffix_free."""
+    shifted = reference_determinize(reference_suffix_nfa(d))
+    return not boolean(d, shifted, BooleanOp.INTERSECTION).finals
 
 
 def random_nfa(rng: random.Random, n: int, letters: int) -> Nfa:

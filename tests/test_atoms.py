@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ from suffixfree.atoms import (
     syntactic_complexity,
 )
 from suffixfree.automata import Dfa, Nfa, is_isomorphic, minimize, quotient_complexity
-from suffixfree.langops import BooleanOp, boolean, reverse
+from suffixfree.langops import BooleanOp, boolean, reverse, reverse_full
 from suffixfree.semigroups import wsf_cardinality
 from suffixfree.witnesses import d6
 
@@ -85,6 +86,10 @@ def test_atom_count_equals_reverse_complexity():
         d = minimize(random_dfa(rng, rng.randrange(2, 7), 2))
         assert len(atoms(d)) == quotient_complexity(reverse(d))
         done += 1
+    # Both run the reversed subset construction from the final states.
+    for _ in range(40):
+        d = random_dfa(rng, rng.randrange(1, 15), rng.randrange(1, 4))
+        assert reverse_full(d).raw_states == len(atoms(d))
 
 
 def test_atoms_of_a_21_state_cycle():
@@ -147,6 +152,35 @@ def test_atom_dfa_matches_reference_construction():
         d = d6(n)
         for basis in atoms(d):
             assert atom_dfa(d, basis).to_dict() == reference_atom_dfa(d, basis).to_dict()
+    # 13 and 25 states take two and three kernel chunks per part of a
+    # pair.  The basis of the atom of a word w is {q : q.w in F}; random
+    # bases may give empty atoms.
+    rng = random.Random(13)
+    for n in (13, 25):
+        for _ in range(3):
+            d = random_dfa(rng, n, 2)
+            for _ in range(4):
+                image = range(n)
+                for _ in range(rng.randrange(6)):
+                    image = [d.delta[rng.choice(d.alphabet)][r] for r in image]
+                for basis in ({q for q, r in enumerate(image) if r in d.finals},
+                              rng.sample(range(n), rng.randrange(n))):
+                    assert (atom_dfa(d, basis).to_dict()
+                            == reference_atom_dfa(d, basis).to_dict())
+
+
+def test_atom_complexity_of_a_40_state_chain_keeps_its_tables_small():
+    # Half-split tables would take 2 * 2**20 entries here.
+    n = 40
+    d = Dfa(n, "a", {"a": [min(q + 1, n - 1) for q in range(n)]}, 0, [n - 2])
+    tracemalloc.start()
+    try:
+        complexity = atom_complexity(d, {n - 2})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert complexity == 2
+    assert peak <= 5 * 2 ** 20
 
 
 def test_atoms_are_pairwise_disjoint():

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -24,8 +25,13 @@ from helpers import (
     random_dfa,
     random_nfa,
     random_transformation,
+    reference_concat_nfa,
     reference_determinize,
+    reference_is_suffix_free,
     reference_minimize,
+    reference_reverse_nfa,
+    reference_star_nfa,
+    reference_suffix_nfa,
 )
 
 
@@ -117,6 +123,19 @@ def test_dfa_validates_shape():
         Dfa(2, ("a",), {"a": (0, 1)}, 0, {7})
 
 
+def test_dfa_state_numbers_must_be_ints():
+    # A float state count used to construct, then fail inside star.
+    for count in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="state_count"):
+            Dfa(count, ["a"], {"a": [1, 0]}, 0, [1])
+    for initial in (0.0, False):
+        with pytest.raises(ValueError, match="initial"):
+            Dfa(2, ["a"], {"a": [1, 0]}, initial, [1])
+    for final in (1.0, True):
+        with pytest.raises(ValueError, match="final"):
+            Dfa(2, ["a"], {"a": [1, 0]}, 0, [final])
+
+
 def test_alphabet_letters_must_be_non_empty_strings():
     # "" is EPSILON in the NFA layer: accepting it as a letter made
     # is_suffix_free answer wrongly instead of raising.
@@ -204,44 +223,67 @@ def test_determinize_matches_reference_on_random_nfas():
 
 def test_determinize_matches_reference_across_chunk_boundaries():
     # The subset kernel looks subsets up in chunks of at most 12 states:
-    # one chunk up to 12 states, two up to 24, three beyond.
+    # one chunk up to 12 states, two up to 24, three beyond; from 64
+    # states on, the cap on table entries narrows the chunks.
     rng = random.Random(12)
-    for size in (0, 1, 11, 12, 13, 24, 25, 30):
+    for size in (0, 1, 11, 12, 13, 24, 25, 30, 40, 64, 100):
         for letters in range(4):
             for _ in range(10):
                 n = random_nfa(rng, size, letters)
                 assert determinize(n).to_dict() == reference_determinize(n).to_dict()
 
 
+def _cycle_dfa(n: int) -> Dfa:
+    """n states, all reachable: a cycle on a and a random map on b."""
+    rng = random.Random(n)
+    cycle = [(q + 1) % n for q in range(n)]
+    return Dfa(n, "ab", {"a": cycle, "b": random_transformation(rng, n)}, 0,
+               [q for q in range(n) if rng.random() < 0.5])
+
+
 def test_determinize_of_a_large_dfa_keeps_its_tables_small():
     # Half tables would need 2 * 2**100 entries at 200 states.
-    rng = random.Random(200)
-    n = 200
-    cycle = [(q + 1) % n for q in range(n)]
-    d = Dfa(n, "ab", {"a": cycle, "b": random_transformation(rng, n)}, 0,
-            [q for q in range(n) if rng.random() < 0.5])
+    d = _cycle_dfa(200)
     start = time.perf_counter()
     out = determinize(Nfa.from_dfa(d))
     assert time.perf_counter() - start < 1.0
     assert out == canonicalize(d)
 
 
-def test_determinize_matches_reference_on_witness_nfas(monkeypatch):
-    nfas = []
+def test_determinize_of_a_1000_state_dfa_keeps_its_tables_small():
+    # Chunks of 12 states would take 92 MB of tables here.
+    d = _cycle_dfa(1000)
+    nfa = Nfa.from_dfa(d)
+    tracemalloc.start()
+    try:
+        out = determinize(nfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == canonicalize(d)
+    assert peak <= 10 * 2 ** 20
 
-    def recording(n):
-        nfas.append(n)
-        return determinize(n)
 
-    monkeypatch.setattr(langops, "determinize", recording)
+def test_determinize_matches_reference_on_witness_nfas():
+    # The ops run the subset kernel on tables built from DFA rows; each
+    # must match determinizing the textbook epsilon-NFA of the op.
+    ops, nfas = [], []
     for n in range(6, 11):
-        langops.star(d5(n, "a,b,-"))
-        langops.concat(d5(n), d5(6, "b,c,a"))
-        langops.reverse(d6(n))
-        langops.is_suffix_free(d6(n))
+        d, d1, d2, r = d5(n, "a,b,-"), d5(n), d5(6, "b,c,a"), d6(n)
+        ops += [(reference_star_nfa(d), langops.star_full(d), langops.star(d)),
+                (reference_concat_nfa(d1, d2), langops.concat_full(d1, d2),
+                 langops.concat(d1, d2)),
+                (reference_reverse_nfa(r), langops.reverse_full(r), langops.reverse(r))]
+        nfas.append(reference_suffix_nfa(r))
+        assert langops.is_suffix_free(r) and reference_is_suffix_free(r)
+    nfas += [nfa for nfa, _, _ in ops]
     assert len(nfas) == 20
     for n in nfas:
         assert determinize(n).to_dict() == reference_determinize(n).to_dict()
+    for nfa, full, dfa in ops:
+        reference = reference_determinize(nfa)
+        assert full.raw_states == reference.state_count
+        assert full.dfa == dfa == minimize(reference)
 
 
 # ---------------------------------------------------------------------------

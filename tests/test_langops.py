@@ -27,7 +27,7 @@ from suffixfree.langops import (
 )
 from suffixfree.witnesses import binary_product_pair, d5, d6
 
-from helpers import has_suffix_violation, random_dfa
+from helpers import has_suffix_violation, random_dfa, reference_is_suffix_free
 
 
 def empty_language(alphabet=("a",)) -> Dfa:
@@ -266,6 +266,17 @@ def test_suffix_free_decision_agrees_with_word_check():
         d = random_dfa(rng, rng.randrange(2, 6), 2)
         if has_suffix_violation(d, 2 * d.state_count):
             assert not is_suffix_free(d)
+    # The product of d with the determinized NFA for sigma+ L(d) decides
+    # both ways; sparse finals make some of these DFAs suffix-free.
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        alphabet = "ab"[:rng.randrange(1, 3)]
+        d = Dfa(n, alphabet, {a: [rng.randrange(n) for _ in range(n)] for a in alphabet},
+                0, [q for q in range(n) if rng.random() < 0.2])
+        verdicts.add(is_suffix_free(d))
+        assert is_suffix_free(d) == reference_is_suffix_free(d)
+    assert verdicts == {True, False}
 
 
 def test_no_witness_word_fixes_initial_state():
