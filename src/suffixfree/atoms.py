@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .automata import (
-    Dfa, _chunk_tables, _mask, _preimages, _refine, _subsets, minimize,
+    Dfa, _chunk_tables, _mask, _refine, _subsets, _transpose, minimize,
     quotient_complexity)
 from .semigroups import transition_semigroup
 
@@ -85,7 +85,9 @@ def atoms(d: Dfa) -> frozenset:
     construction reaches from F, stepping through per-letter preimage
     tables (Brzozowski and Tamm, "Theory of atomata", TCS 539, 2014).
     """
-    order, _ = _subsets(_mask(d.finals), _preimages(d))
+    n = d.state_count
+    preimages = [_transpose([1 << r for r in d.delta[a]], n) for a in d.alphabet]
+    order, _ = _subsets(_mask(d.finals), preimages)
     return frozenset(frozenset(q for q in range(d.state_count) if s >> q & 1)
                      for s in order)
 

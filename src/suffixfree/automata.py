@@ -9,6 +9,7 @@ and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 #: Marker for empty-word transitions in an Nfa.
@@ -215,13 +216,6 @@ class Nfa:
         object.__setattr__(self, "initials", initials)
         object.__setattr__(self, "finals", finals)
 
-    @classmethod
-    def from_dfa(cls, d: Dfa) -> "Nfa":
-        triples = [
-            (q, a, d.delta[a][q]) for a in d.alphabet for q in range(d.state_count)
-        ]
-        return cls(d.state_count, d.alphabet, triples, {d.initial}, d.finals)
-
 
 def word_transformation(d: Dfa, word: Sequence[str]) -> Transformation:
     """The transformation induced by a non-empty word of d's alphabet."""
@@ -282,14 +276,15 @@ def _chunk_tables(tables: list) -> tuple:
     return (1 << w) - 1, chunks
 
 
-def _subsets(start: int, tables: list) -> tuple:
+def _subsets(start: int, tables: list, limit: int = None) -> tuple:
     """Reachable-subset BFS over int bitmasks, the one subset
     construction of the package.
 
     One step through table t maps a subset S to the OR of t[q] over
     the q in S; tables are scanned in the given order.  Returns the
     subsets in discovery order and, per table, the row of successor
-    indices.
+    indices.  With a limit, only the first limit subsets are expanded:
+    the rows cover those, and every subset found is returned.
     """
     k = len(tables[0]) if tables else 0
     low, chunks = _chunk_tables(tables)
@@ -297,7 +292,7 @@ def _subsets(start: int, tables: list) -> tuple:
     index = {start: 0}
     order = [start]
     rows = [[] for _ in tables]
-    for s in order:
+    for s in islice(order, limit):
         image = 0
         for shift, chunk in chunks:
             image |= chunk[s >> shift & low]
@@ -312,23 +307,71 @@ def _subsets(start: int, tables: list) -> tuple:
     return order, rows
 
 
-def _subset_dfa(alphabet: tuple, start: int, tables: list, finals: int) -> Dfa:
-    """The DFA of one _subsets run with one table per letter: subsets
-    numbered in discovery order, final when they meet the finals mask."""
+def _subset_dfa(alphabet: tuple, start: int, tables: list, finals: int) -> tuple:
+    """The DFA of one _subsets run with one table per letter, subsets
+    numbered in discovery order and final when they meet the finals
+    mask; and the subsets, in that order."""
     order, rows = _subsets(start, tables)
     return Dfa(len(order), alphabet, dict(zip(alphabet, rows)), 0,
-               [i for i, s in enumerate(order) if s & finals])
+               [i for i, s in enumerate(order) if s & finals]), order
 
 
-def _preimages(d: Dfa) -> list:
-    """Per letter, each state's preimages as a mask: the reversed tables."""
-    tables = []
-    for a in d.alphabet:
-        pre = [0] * d.state_count
-        for q, r in enumerate(d.delta[a]):
-            pre[r] |= 1 << q
-        tables.append(pre)
-    return tables
+def _transpose(masks: list, k: int) -> list:
+    """k masks, the one of q holding bit i when masks[i] holds q.  Of a
+    table of images, it is the table of each state's preimages."""
+    out = [0] * k
+    for i, bits in enumerate(masks):
+        bit = 1 << i
+        while bits:
+            low = bits & -bits
+            out[low.bit_length() - 1] |= bit
+            bits ^= low
+    return out
+
+
+#: Subsets that the reversed construction of a Nerode seed expands at
+#: most; _refine finishes whatever a cut-off seed leaves open.
+_SEED_SUBSETS = 64
+
+
+def _nerode_seed(order: list, tables: list, finals: int) -> list:
+    """The Nerode class of each subset of a _subsets run over these
+    tables, numbered by first appearance: a start for _refine.
+
+    A subset S accepts w exactly when it meets P_w, the states from
+    which a w-path enters finals.  The P_w are the subsets that the
+    construction through the transposed tables reaches from finals
+    (Brzozowski and Tamm, "Theory of atomata", TCS 539, 2014), so the
+    set of P_w that S meets is its class.  With bit i of column q set
+    when q lies in the i-th P_w, the column tables read that set in one
+    lookup per chunk.  A reversed construction cut off at _SEED_SUBSETS
+    still gives a partition between finality (P_0 is finals) and
+    Nerode's, and _refine completes it.
+    """
+    if not tables:
+        return [0]  # no letters: the start is the only subset
+    k = len(tables[0])
+    found, _ = _subsets(finals, [_transpose(t, k) for t in tables], _SEED_SUBSETS)
+    low, chunks = _chunk_tables([_transpose(found, k)])
+    classes: dict = {}
+    seed = []
+    for s in order:
+        sig = 0
+        for shift, chunk in chunks:
+            sig |= chunk[s >> shift & low]
+        seed.append(classes.setdefault(sig, len(classes)))
+    return seed
+
+
+def _minimal_subset_dfa(alphabet: tuple, start: int, tables: list,
+                        finals: int) -> tuple:
+    """The minimal DFA of the _subset_dfa run with these arguments,
+    with refinement started from the Nerode seed, and the run's state
+    count."""
+    raw, order = _subset_dfa(alphabet, start, tables, finals)
+    seed = _nerode_seed(order, tables, finals)
+    del order  # freed before refinement and quotient, where memory peaks
+    return _minimize(raw, seed), raw.state_count
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -353,7 +396,7 @@ def determinize(n: Nfa) -> Dfa:
     # through the closed successors of its states keeps it closed.
     tables = [[_union(closure, m) for m in succ[a]] for a in n.alphabet]
     return _subset_dfa(n.alphabet, _union(closure, _mask(n.initials)), tables,
-                       _mask(n.finals))
+                       _mask(n.finals))[0]
 
 
 def _reachable(d: Dfa) -> list:
@@ -404,14 +447,18 @@ def _refine(succ: list, block: list) -> tuple:
         count = len(sigs)
 
 
-def _classes(d: Dfa) -> tuple:
+def _classes(d: Dfa, seed: list = None) -> tuple:
     """Nerode classes of the reachable part of d: the reachable states
     in BFS order, their successor rows by position in that order, the
-    class of each position and the number of classes."""
+    class of each position and the number of classes.  Refinement
+    starts from seed, a class per state of d that separates no two
+    equivalent states but every final from every non-final one, or else
+    from finality."""
     order = _reachable(d)
     pos = {q: i for i, q in enumerate(order)}
     succ = [[pos[r] for r in map(d.delta[a].__getitem__, order)] for a in d.alphabet]
-    block, count = _refine(succ, [int(q in d.finals) for q in order])
+    block, count = _refine(succ, [int(q in d.finals) for q in order] if seed is None
+                           else list(map(seed.__getitem__, order)))
     return order, succ, block, count
 
 
@@ -423,7 +470,12 @@ def minimize(d: Dfa) -> Dfa:
     meets states in shortlex order of their least access words, so that
     numbering is the quotient's own BFS order, the initial class at 0.
     """
-    order, succ, block, m = _classes(d)
+    return _minimize(d, None)
+
+
+def _minimize(d: Dfa, seed: list) -> Dfa:
+    """minimize(d), with refinement started from seed (see _classes)."""
+    order, succ, block, m = _classes(d, seed)
     rep = {b: i for i, b in enumerate(block)}  # one position per class
     delta = {a: [block[row[rep[b]]] for b in range(m)] for a, row in zip(d.alphabet, succ)}
     finals = [b for b in range(m) if order[rep[b]] in d.finals]

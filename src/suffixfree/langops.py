@@ -4,7 +4,10 @@ suffix-freeness decision procedure.
 
 Every operation returns a minimized, canonically numbered DFA.  The
 *_full variants additionally report the pre-minimization state count,
-which is useful when tracing subset-construction reachability.
+which is useful when tracing subset-construction reachability.  Star,
+concatenation and reversal minimize their subset DFA from its Nerode
+partition, which a second, reversed subset construction gives
+(automata._nerode_seed), so Moore refinement only confirms it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .automata import Dfa, _mask, _preimages, _subset_dfa, _subsets, minimize
+from .automata import (
+    Dfa, _mask, _minimal_subset_dfa, _subsets, _transpose, minimize)
 from .semigroups import BSF, is_subsemigroup_of, transition_semigroup
 
 
@@ -87,10 +91,6 @@ class OpResult:
     raw_states: int
 
 
-def _finish(raw: Dfa) -> OpResult:
-    return OpResult(minimize(raw), raw.state_count)
-
-
 def star_full(d: Dfa) -> OpResult:
     """Kleene star by the subset construction over d's states and a
     fresh accepting initial state n.  Entering a final state also enters
@@ -100,8 +100,8 @@ def star_full(d: Dfa) -> OpResult:
     back = 1 << d.initial
     tables = [[1 << r | (back if r in d.finals else 0) for r in d.delta[a]] + [0]
               for a in d.alphabet]
-    return _finish(_subset_dfa(d.alphabet, 1 << n | back, tables,
-                               _mask(d.finals) | 1 << n))
+    return OpResult(*_minimal_subset_dfa(d.alphabet, 1 << n | back, tables,
+                                         _mask(d.finals) | 1 << n))
 
 
 def star(d: Dfa) -> Dfa:
@@ -121,7 +121,8 @@ def concat_full(d1: Dfa, d2: Dfa) -> OpResult:
     tables = [[1 << r | (hand if r in d1.finals else 0) for r in d1.delta[a]]
               + [1 << (off + r) for r in d2.delta[a]] for a in d1.alphabet]
     start = 1 << d1.initial | (hand if d1.initial in d1.finals else 0)
-    return _finish(_subset_dfa(d1.alphabet, start, tables, _mask(d2.finals) << off))
+    return OpResult(*_minimal_subset_dfa(d1.alphabet, start, tables,
+                                         _mask(d2.finals) << off))
 
 
 def concat(d1: Dfa, d2: Dfa) -> Dfa:
@@ -132,8 +133,10 @@ def reverse_full(d: Dfa) -> OpResult:
     """Reversal: the subset construction from the final states through
     each letter's preimages; a subset is final when it holds d's initial
     state."""
-    return _finish(_subset_dfa(d.alphabet, _mask(d.finals), _preimages(d),
-                               1 << d.initial))
+    n = d.state_count
+    tables = [_transpose([1 << r for r in d.delta[a]], n) for a in d.alphabet]
+    return OpResult(*_minimal_subset_dfa(d.alphabet, _mask(d.finals), tables,
+                                         1 << d.initial))
 
 
 def reverse(d: Dfa) -> Dfa:
@@ -168,7 +171,7 @@ def boolean_full(d1: Dfa, d2: Dfa, op: BooleanOp) -> OpResult:
                 order.append(nxt)
             rows[a].append(index[nxt])
     finals = [i for (p, q), i in index.items() if rule(p in d1.finals, q in d2.finals)]
-    return _finish(Dfa(len(order), alphabet, rows, 0, finals))
+    return OpResult(minimize(Dfa(len(order), alphabet, rows, 0, finals)), len(order))
 
 
 def boolean(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:

@@ -100,6 +100,11 @@ def _dfa_triples(d: Dfa, off: int = 0) -> list:
             for a in d.alphabet for q in range(d.state_count)]
 
 
+def nfa_from_dfa(d: Dfa) -> Nfa:
+    """d as an NFA with the same states, transitions, initial and finals."""
+    return Nfa(d.state_count, d.alphabet, _dfa_triples(d), {d.initial}, d.finals)
+
+
 def reference_star_nfa(d: Dfa) -> Nfa:
     """Kleene star as the textbook epsilon-NFA: a fresh accepting
     initial state and empty-word transitions from it and from every

@@ -22,6 +22,7 @@ from suffixfree.witnesses import d5, d6
 
 from helpers import (
     brute_force_state_count,
+    nfa_from_dfa,
     random_dfa,
     random_nfa,
     random_transformation,
@@ -202,7 +203,7 @@ def test_to_dot_mentions_all_states():
 
 def test_determinize_deterministic_input_is_isomorphic():
     d = d6(5)
-    n = Nfa.from_dfa(d)
+    n = nfa_from_dfa(d)
     assert is_isomorphic(determinize(n), d)
 
 
@@ -245,7 +246,7 @@ def test_determinize_of_a_large_dfa_keeps_its_tables_small():
     # Half tables would need 2 * 2**100 entries at 200 states.
     d = _cycle_dfa(200)
     start = time.perf_counter()
-    out = determinize(Nfa.from_dfa(d))
+    out = determinize(nfa_from_dfa(d))
     assert time.perf_counter() - start < 1.0
     assert out == canonicalize(d)
 
@@ -253,7 +254,7 @@ def test_determinize_of_a_large_dfa_keeps_its_tables_small():
 def test_determinize_of_a_1000_state_dfa_keeps_its_tables_small():
     # Chunks of 12 states would take 92 MB of tables here.
     d = _cycle_dfa(1000)
-    nfa = Nfa.from_dfa(d)
+    nfa = nfa_from_dfa(d)
     tracemalloc.start()
     try:
         out = determinize(nfa)

@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+from suffixfree import automata
 from suffixfree.atoms import syntactic_complexity
 from suffixfree.automata import (
     Dfa,
     Transformation,
+    _reachable,
+    _subsets,
+    _transpose,
     is_isomorphic,
     minimize,
     quotient_complexity,
@@ -21,13 +25,23 @@ from suffixfree.langops import (
     concat_full,
     is_suffix_free,
     reverse,
+    reverse_full,
     star,
     star_full,
     suffix_free_report,
 )
 from suffixfree.witnesses import binary_product_pair, d5, d6
 
-from helpers import has_suffix_violation, random_dfa, reference_is_suffix_free
+from helpers import (
+    has_suffix_violation,
+    random_dfa,
+    reference_concat_nfa,
+    reference_determinize,
+    reference_is_suffix_free,
+    reference_minimize,
+    reference_reverse_nfa,
+    reference_star_nfa,
+)
 
 
 def empty_language(alphabet=("a",)) -> Dfa:
@@ -181,6 +195,99 @@ def test_double_reverse_preserves_complexity():
 
 def test_reverse_of_d6_dialect():
     assert quotient_complexity(reverse(d6(6, "a,-,c,-,e"))) == 2 ** 4 + 1 == 17
+
+
+# ---------------------------------------------------------------------------
+# star, product and reversal against the textbook constructions
+
+def _reference_cases():
+    """Seeded random DFAs, each with a partner over the same alphabet:
+    1-state DFAs, an empty alphabet, empty finals and unreachable states
+    among them."""
+    rng = random.Random(10)
+    dfas = [random_dfa(rng, n, letters) for n in (1, 2, 3, 4, 6)
+            for letters in range(4) for _ in range(5)]
+    dfas += [Dfa(d.state_count, d.alphabet, d.delta, d.initial, ()) for d in dfas[::6]]
+    dfas.append(Dfa(3, "ab", {"a": [1, 0, 2], "b": [0, 1, 2]}, 0, [2]))
+    return [(d, random_dfa(rng, rng.randrange(1, 5), len(d.alphabet))) for d in dfas]
+
+
+def _check_against_reference():
+    cases = _reference_cases()
+    assert any(not d.alphabet for d, _ in cases)
+    assert any(len(_reachable(d)) < d.state_count for d, _ in cases)
+    for d, e in cases:
+        for result, nfa in ((star_full(d), reference_star_nfa(d)),
+                            (reverse_full(d), reference_reverse_nfa(d)),
+                            (concat_full(d, e), reference_concat_nfa(d, e))):
+            raw = reference_determinize(nfa)
+            assert result.raw_states == raw.state_count
+            assert result.dfa.to_dict() == reference_minimize(raw).to_dict()
+
+
+def test_ops_match_the_minimized_reference_construction():
+    _check_against_reference()
+
+
+def test_ops_match_the_reference_when_the_seed_is_cut_off(monkeypatch):
+    # With one reversed subset expanded, the seed tells subsets apart by
+    # words of length at most 1, and Moore refinement finishes the rest.
+    monkeypatch.setattr(automata, "_SEED_SUBSETS", 1)
+    missing = []
+    real = automata._minimize
+
+    def spy(d, seed):
+        out = real(d, seed)
+        missing.append(out.state_count - len(set(seed)))
+        return out
+
+    monkeypatch.setattr(automata, "_minimize", spy)
+    _check_against_reference()
+    assert max(missing) > 0
+
+
+def _seeded_runs(monkeypatch) -> list:
+    """Star of d5(12), the binary product (9, 10) and reversal of
+    d6(11), each with the arguments and result of its _subset_dfa run."""
+    runs = []
+    real = automata._subset_dfa
+
+    def spy(*args):
+        runs.append((args, real(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(automata, "_subset_dfa", spy)
+    results = [star_full(d5(12)), concat_full(*binary_product_pair(9, 10)),
+               reverse_full(d6(11))]
+    monkeypatch.undo()
+    return [(args, raw, order, result)
+            for (args, (raw, order)), result in zip(runs, results)]
+
+
+def test_a_finished_reversed_construction_seeds_the_nerode_partition(monkeypatch):
+    for (_, _, tables, finals), raw, order, result in _seeded_runs(monkeypatch):
+        k = len(tables[0])
+        found, _ = _subsets(finals, [_transpose(t, k) for t in tables],
+                            automata._SEED_SUBSETS)
+        assert len(found) <= automata._SEED_SUBSETS
+        seed = automata._nerode_seed(order, tables, finals)
+        assert len(set(seed)) == quotient_complexity(raw) == result.dfa.state_count
+
+
+def test_a_coarser_seed_gives_the_same_minimal_dfa(monkeypatch):
+    # Merging two seed classes of the same finality leaves a partition
+    # between finality and Nerode's, which refinement splits again.
+    for args, _, order, result in _seeded_runs(monkeypatch):
+        _, _, tables, finals = args
+        seed = automata._nerode_seed(order, tables, finals)
+        final = dict(zip(seed, (bool(s & finals) for s in order)))
+        keep, drop = [c for c in final if final[c] == final[seed[-1]]][-2:]
+        merged = [keep if c == drop else c for c in seed]
+        assert len(set(merged)) == len(set(seed)) - 1
+        monkeypatch.setattr(automata, "_nerode_seed", lambda *_: merged)
+        again = automata._minimal_subset_dfa(*args)
+        monkeypatch.undo()
+        assert again == (result.dfa, result.raw_states)
 
 
 # ---------------------------------------------------------------------------
