@@ -14,9 +14,24 @@ import math
 from dataclasses import dataclass
 
 from .automata import (
-    Dfa, _chunk_tables, _mask, _refine, _subsets, _transpose, minimize,
+    Dfa, _chunk_tables, _mask, _subsets, _transpose, minimize,
     quotient_complexity)
 from .semigroups import transition_semigroup
+
+
+def _basis_mask(d: Dfa, basis) -> int:
+    basis = frozenset(basis)
+    if any(not 0 <= q < d.state_count for q in basis):
+        raise ValueError("basis must be a subset of the state set")
+    return _mask(basis)
+
+
+def _atom_bases(d: Dfa) -> list:
+    """The atom bases of d as masks, in the order one reversed subset
+    construction from the finals reaches them (see atoms)."""
+    n = d.state_count
+    preimages = [_transpose([1 << r for r in d.delta[a]], n) for a in d.alphabet]
+    return _subsets(_mask(d.finals), preimages)[0]
 
 
 def _atom_pairs(d: Dfa, basis) -> tuple:
@@ -30,16 +45,13 @@ def _atom_pairs(d: Dfa, basis) -> tuple:
     letters in alphabet order.  Returns the state count, one successor
     row per letter and the final states.
     """
-    basis = frozenset(basis)
     n = d.state_count
-    if any(not 0 <= q < n for q in basis):
-        raise ValueError("basis must be a subset of the state set")
     full = (1 << n) - 1
     sink = full << n | full
     # X and Y step through the subset kernel's tables: one lookup per
     # chunk gives a part's images under every letter, n bits apart.
     low, chunks = _chunk_tables([[1 << r for r in d.delta[a]] for a in d.alphabet])
-    b = _mask(basis)
+    b = _basis_mask(d, basis)
     index = {(full ^ b) << n | b: 0}
     order = list(index)
     rows = [[] for _ in d.alphabet]
@@ -85,22 +97,78 @@ def atoms(d: Dfa) -> frozenset:
     construction reaches from F, stepping through per-letter preimage
     tables (Brzozowski and Tamm, "Theory of atomata", TCS 539, 2014).
     """
-    n = d.state_count
-    preimages = [_transpose([1 << r for r in d.delta[a]], n) for a in d.alphabet]
-    order, _ = _subsets(_mask(d.finals), preimages)
     return frozenset(frozenset(q for q in range(d.state_count) if s >> q & 1)
-                     for s in order)
+                     for s in _atom_bases(d))
+
+
+def _atom_complexities(d: Dfa):
+    """The function basis -> atom_complexity(d, basis), with the work
+    that depends on d alone done once.
+
+    The pair (X, Y) of the atom DFA (see _atom_pairs) accepts the union
+    of the atoms whose basis holds X and misses Y.  Atoms are non-empty
+    and disjoint, so two pairs are equivalent exactly when they admit
+    the same atoms, and the quotient complexity is the number of
+    distinct admitted sets over the reachable pairs: neither transition
+    rows nor refinement are needed.  The sink admits no atom.
+    """
+    n = d.state_count
+    bases = _atom_bases(d)
+    known = set(bases)
+    full = (1 << n) - 1
+    sink = full << n | full
+    k = 2 * n
+    top = len(d.alphabet) * k
+    # Column q of X (of Y) holds, in the low (high) half of one 2n-bit
+    # field per letter, q's image; above the fields, the atoms that miss
+    # q (that hold q).  The OR of one lookup per chunk of X and of Y is
+    # then the pair's successor under every letter and the atoms it bars.
+    holds = _transpose(bases, n)
+    every = (1 << len(bases)) - 1
+    xcols = [(every ^ h) << top for h in holds]
+    ycols = [h << top for h in holds]
+    for j, a in enumerate(d.alphabet):
+        for q, r in enumerate(d.delta[a]):
+            xcols[q] |= 1 << j * k + r
+            ycols[q] |= 1 << j * k + n + r
+    xlow, xchunks = _chunk_tables([xcols])
+    ylow, ychunks = _chunk_tables([ycols])
+    letters = range(len(d.alphabet))
+
+    def complexity(basis) -> int:
+        basis = frozenset(basis)
+        b = _basis_mask(d, basis)
+        if b not in known:
+            raise ValueError(f"{sorted(basis)} is not an atom basis: "
+                             "the atomic intersection is empty")
+        start = (full ^ b) << n | b
+        seen = {start}
+        order = [start]
+        barred = set()
+        for state in order:
+            x, y = state & full, state >> n
+            packed = 0
+            for shift, chunk in xchunks:
+                packed |= chunk[x >> shift & xlow]
+            for shift, chunk in ychunks:
+                packed |= chunk[y >> shift & ylow]
+            for _ in letters:
+                nxt = packed & sink
+                packed >>= k
+                if nxt & nxt >> n:  # X and Y collide
+                    nxt = sink
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+            barred.add(packed)
+        return len(barred)
+
+    return complexity
 
 
 def atom_complexity(d: Dfa, basis) -> int:
     """Quotient complexity of the atom with the given basis."""
-    basis = frozenset(basis)
-    m, rows, finals = _atom_pairs(d, basis)
-    if not finals:
-        raise ValueError(f"{sorted(basis)} is not an atom basis: "
-                         "the atomic intersection is empty")
-    finals = set(finals)
-    return _refine(rows, [int(i in finals) for i in range(m)])[1]
+    return _atom_complexities(d)(basis)
 
 
 def middle_basis_bound(n: int, size: int) -> int:
@@ -176,12 +244,13 @@ def atom_report(d: Dfa) -> list:
     middles = [q for q in range(n) if q not in (d.initial, empty[0])]
     label = {q: i for i, q in enumerate(middles, 1)}
     label.update({d.initial: 0, empty[0]: n - 1})
+    complexity = _atom_complexities(d)
     rows = []
     for basis in atoms(d):
         rows.append(
             AtomRow(
                 basis=tuple(sorted(basis)),
-                complexity=atom_complexity(d, basis),
+                complexity=complexity(basis),
                 bound=suffix_free_atom_bound(n, {label[q] for q in basis}),
             )
         )

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations, groupby
 from typing import Callable
 
-from .atoms import atom_complexity, atoms, middle_basis_bound, syntactic_complexity
+from .atoms import _atom_complexities, atoms, middle_basis_bound, syntactic_complexity
 from .automata import BudgetError
 from .langops import BooleanOp, boolean, concat, reverse, star
 from .semigroups import (
@@ -235,16 +235,14 @@ def verify_atom_table(n: int, construct: bool = None) -> list:
         raise ValueError(f"no reference table column for n={n}")
     if construct is None:
         construct = n <= 7
-    witness = d6(n) if construct else None
+    complexity = _atom_complexities(d6(n)) if construct else None
     reports = []
     for size in range(n - 1):
         expected = ATOM_TABLE[n][size]
 
         def compute(size=size):
             if construct:
-                return max(
-                    atom_complexity(witness, b) for b in _bases_of_size(n, size)
-                )
+                return max(map(complexity, _bases_of_size(n, size)))
             return max_atom_table_bound(n, size)
 
         reports.append(

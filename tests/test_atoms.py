@@ -147,6 +147,30 @@ def test_atom_complexity_matches_brute_force_on_random_dfas():
             assert atom_complexity(d, basis) == brute_force_state_count(raw)
 
 
+def test_atom_complexity_counts_the_minimal_atom_dfa():
+    # Counting the sets of atoms that the reachable pairs admit must
+    # agree with minimizing the raw atom DFA, for every subset of the
+    # states, atom or not.  13 and 14 states take two chunks of X and
+    # of Y; the empty alphabet leaves the start pair alone.
+    rng = random.Random(61)
+    dfas = [random_dfa(rng, rng.randrange(1, 8), rng.randrange(1, 4)) for _ in range(40)]
+    dfas += [Dfa(3, "", {}, 0, [1]), Dfa(1, "a", {"a": [0]}, 0, [])]
+    for d in dfas:
+        for size in range(d.state_count + 1):
+            for basis in combinations(range(d.state_count), size):
+                if is_atom(d, basis):
+                    assert (atom_complexity(d, basis)
+                            == quotient_complexity(atom_dfa(d, basis)))
+                else:
+                    with pytest.raises(ValueError, match="not an atom basis"):
+                        atom_complexity(d, basis)
+    for n in (13, 14):
+        d = random_dfa(rng, n, 2)
+        bases = sorted(atoms(d), key=sorted)
+        for basis in rng.sample(bases, min(8, len(bases))):
+            assert atom_complexity(d, basis) == quotient_complexity(atom_dfa(d, basis))
+
+
 def test_atom_dfa_matches_reference_construction():
     for n in (5, 6):
         d = d6(n)
