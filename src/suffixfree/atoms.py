@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .automata import (
-    Dfa, _chunk_tables, _mask, _subsets, _transpose, minimize,
+    Dfa, _chunk_tables, _mask, _quotient, _subsets, _transpose,
     quotient_complexity)
 from .semigroups import transition_semigroup
 
@@ -42,8 +42,8 @@ def _atom_pairs(d: Dfa, basis) -> tuple:
     parts collide goes to the sink, kept as the pair (Q, Q), which every
     letter maps to itself.  (X, Y) is final when X lies inside d.finals
     and Y misses it.  States are numbered in BFS discovery order with
-    letters in alphabet order.  Returns the state count, one successor
-    row per letter and the final states.
+    letters in alphabet order.  Returns one successor row per letter and
+    a finality flag per state.
     """
     n = d.state_count
     full = (1 << n) - 1
@@ -72,20 +72,19 @@ def _atom_pairs(d: Dfa, basis) -> tuple:
                 order.append(nxt)
             row.append(i)
     f = _mask(d.finals)
-    finals = [i for i, s in enumerate(order) if not s & full & ~f and not s >> n & f]
-    return len(order), rows, finals
+    return rows, [not s & full & ~f and not s >> n & f for s in order]
 
 
 def atom_dfa(d: Dfa, basis) -> Dfa:
     """Minimal DFA of the atomic intersection with the given basis."""
-    m, rows, finals = _atom_pairs(d, basis)
-    return minimize(Dfa(m, d.alphabet, dict(zip(d.alphabet, rows)), 0, finals))
+    rows, final = _atom_pairs(d, basis)
+    return _quotient(d.alphabet, rows, final, final)
 
 
 def is_atom(d: Dfa, basis) -> bool:
     """Non-emptiness of the atomic intersection, by reachability of a
     final state in the raw construction."""
-    return bool(_atom_pairs(d, basis)[2])
+    return any(_atom_pairs(d, basis)[1])
 
 
 def atoms(d: Dfa) -> frozenset:

@@ -156,6 +156,10 @@ class Dfa:
                 raise ValueError(f"interchange field {key!r} must be a JSON "
                                  f"{kind.__name__}, got {d[key]!r}")
         _check_letters(tuple(d["alphabet"]))
+        extra = set(d["transitions"]) - set(d["alphabet"])
+        if extra:
+            raise ValueError(f"interchange field 'transitions' has letters "
+                             f"outside the alphabet: {sorted(extra, key=str)}")
         for key, values in [("finals", d["finals"])] + [
                 (f"transitions.{a}", d["transitions"].get(a))
                 for a in d["alphabet"]]:
@@ -203,13 +207,18 @@ class Nfa:
         initials = frozenset(initials)
         finals = frozenset(finals)
         letters = set(alphabet) | {EPSILON}
+
+        def state(q) -> bool:
+            return type(q) is int and 0 <= q < state_count
+
         for src, a, dst in transitions:
-            if not (0 <= src < state_count and 0 <= dst < state_count):
-                raise ValueError(f"transition state out of range: {(src, a, dst)}")
+            if not (state(src) and state(dst)):
+                raise ValueError("transition states must be ints in range: "
+                                 f"{(src, a, dst)}")
             if a not in letters:
                 raise ValueError(f"unknown letter in transition: {a!r}")
-        if any(not 0 <= q < state_count for q in initials | finals):
-            raise ValueError("initial/final state out of range")
+        if not all(map(state, initials | finals)):
+            raise ValueError("initial/final states must be ints in range")
         object.__setattr__(self, "state_count", state_count)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "transitions", transitions)
@@ -307,15 +316,6 @@ def _subsets(start: int, tables: list, limit: int = None) -> tuple:
     return order, rows
 
 
-def _subset_dfa(alphabet: tuple, start: int, tables: list, finals: int) -> tuple:
-    """The DFA of one _subsets run with one table per letter, subsets
-    numbered in discovery order and final when they meet the finals
-    mask; and the subsets, in that order."""
-    order, rows = _subsets(start, tables)
-    return Dfa(len(order), alphabet, dict(zip(alphabet, rows)), 0,
-               [i for i, s in enumerate(order) if s & finals]), order
-
-
 def _transpose(masks: list, k: int) -> list:
     """k masks, the one of q holding bit i when masks[i] holds q.  Of a
     table of images, it is the table of each state's preimages."""
@@ -365,13 +365,14 @@ def _nerode_seed(order: list, tables: list, finals: int) -> list:
 
 def _minimal_subset_dfa(alphabet: tuple, start: int, tables: list,
                         finals: int) -> tuple:
-    """The minimal DFA of the _subset_dfa run with these arguments,
-    with refinement started from the Nerode seed, and the run's state
-    count."""
-    raw, order = _subset_dfa(alphabet, start, tables, finals)
+    """The minimal DFA of the _subsets run from start with one table
+    per letter, a subset final when it meets the finals mask, with
+    refinement started from the Nerode seed; and the run's state count."""
+    order, rows = _subsets(start, tables)
+    final = [s & finals != 0 for s in order]
     seed = _nerode_seed(order, tables, finals)
     del order  # freed before refinement and quotient, where memory peaks
-    return _minimize(raw, seed), raw.state_count
+    return _quotient(alphabet, rows, final, seed), len(final)
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -395,8 +396,10 @@ def determinize(n: Nfa) -> Dfa:
     # Closure distributes over union, so stepping a closed subset
     # through the closed successors of its states keeps it closed.
     tables = [[_union(closure, m) for m in succ[a]] for a in n.alphabet]
-    return _subset_dfa(n.alphabet, _union(closure, _mask(n.initials)), tables,
-                       _mask(n.finals))[0]
+    order, rows = _subsets(_union(closure, _mask(n.initials)), tables)
+    f = _mask(n.finals)
+    return Dfa(len(order), n.alphabet, dict(zip(n.alphabet, rows)), 0,
+               [i for i, s in enumerate(order) if s & f])
 
 
 def _reachable(d: Dfa) -> list:
@@ -447,44 +450,43 @@ def _refine(succ: list, block: list) -> tuple:
         count = len(sigs)
 
 
-def _classes(d: Dfa, seed: list = None) -> tuple:
-    """Nerode classes of the reachable part of d: the reachable states
-    in BFS order, their successor rows by position in that order, the
-    class of each position and the number of classes.  Refinement
-    starts from seed, a class per state of d that separates no two
-    equivalent states but every final from every non-final one, or else
-    from finality."""
+def _rows(d: Dfa) -> tuple:
+    """The reachable part of d renumbered in BFS order: one successor
+    row per letter and a finality flag per state."""
     order = _reachable(d)
     pos = {q: i for i, q in enumerate(order)}
-    succ = [[pos[r] for r in map(d.delta[a].__getitem__, order)] for a in d.alphabet]
-    block, count = _refine(succ, [int(q in d.finals) for q in order] if seed is None
-                           else list(map(seed.__getitem__, order)))
-    return order, succ, block, count
+    rows = [[pos[r] for r in map(d.delta[a].__getitem__, order)] for a in d.alphabet]
+    return rows, [q in d.finals for q in order]
+
+
+def _quotient(alphabet: tuple, rows: list, final: list, block: list) -> Dfa:
+    """The minimal DFA of states 0..N-1, numbered in BFS order from the
+    initial state 0 with letters in alphabet order: one successor row
+    per letter, a finality flag per state, and block, the class of each
+    state in a starting partition that separates no two equivalent
+    states but every final state from every non-final one.
+
+    Moore refinement numbers each class by its first state.  BFS with
+    letters in alphabet order meets states in shortlex order of their
+    least access words, so that numbering is the quotient's own BFS
+    order, the initial class at 0: the result is canonical.
+    """
+    block, m = _refine(rows, block)
+    rep = {b: i for i, b in enumerate(block)}  # one state per class
+    delta = {a: [block[row[rep[b]]] for b in range(m)] for a, row in zip(alphabet, rows)}
+    return Dfa(m, alphabet, delta, 0, [b for b in range(m) if final[rep[b]]])
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal DFA of the same language, in canonical (BFS) numbering.
-
-    Moore partition refinement on the reachable part numbers each class
-    by its first state in BFS order.  BFS with letters in alphabet order
-    meets states in shortlex order of their least access words, so that
-    numbering is the quotient's own BFS order, the initial class at 0.
-    """
-    return _minimize(d, None)
-
-
-def _minimize(d: Dfa, seed: list) -> Dfa:
-    """minimize(d), with refinement started from seed (see _classes)."""
-    order, succ, block, m = _classes(d, seed)
-    rep = {b: i for i, b in enumerate(block)}  # one position per class
-    delta = {a: [block[row[rep[b]]] for b in range(m)] for a, row in zip(d.alphabet, succ)}
-    finals = [b for b in range(m) if order[rep[b]] in d.finals]
-    return Dfa(m, d.alphabet, delta, 0, finals)
+    """Minimal DFA of the same language, in canonical (BFS) numbering:
+    the quotient of d's reachable part, refined from finality."""
+    rows, final = _rows(d)
+    return _quotient(d.alphabet, rows, final, final)
 
 
 def quotient_complexity(d: Dfa) -> int:
     """Number of states of the minimal DFA (= number of left quotients)."""
-    return _classes(d)[3]
+    return _refine(*_rows(d))[1]
 
 
 def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:

@@ -2,12 +2,13 @@
 reversal, the four boolean operations, dialect substitution and the
 suffix-freeness decision procedure.
 
-Every operation returns a minimized, canonically numbered DFA.  The
-*_full variants additionally report the pre-minimization state count,
-which is useful when tracing subset-construction reachability.  Star,
-concatenation and reversal minimize their subset DFA from its Nerode
-partition, which a second, reversed subset construction gives
-(automata._nerode_seed), so Moore refinement only confirms it.
+Every operation returns a minimized, canonically numbered DFA, the
+quotient of its construction's BFS rows (automata._quotient); no raw DFA
+is built.  The *_full variants additionally report the construction's
+state count, which is useful when tracing subset-construction
+reachability.  Star, concatenation and reversal refine from the Nerode
+partition of their subset construction, which a second, reversed one
+gives (automata._nerode_seed), so Moore refinement only confirms it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
-    Dfa, _mask, _minimal_subset_dfa, _subsets, _transpose, minimize)
+    Dfa, _mask, _minimal_subset_dfa, _quotient, _rows, _subsets, _transpose)
 from .semigroups import BSF, is_subsemigroup_of, transition_semigroup
 
 
@@ -162,16 +163,16 @@ def boolean_full(d1: Dfa, d2: Dfa, op: BooleanOp) -> OpResult:
     start = (d1.initial, d2.initial)
     index = {start: 0}
     order = [start]
-    rows = {a: [] for a in alphabet}
+    rows = [[] for _ in alphabet]
     for p, q in order:
-        for a in alphabet:
+        for a, row in zip(alphabet, rows):
             nxt = (d1.delta[a][p], d2.delta[a][q])
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
-            rows[a].append(index[nxt])
-    finals = [i for (p, q), i in index.items() if rule(p in d1.finals, q in d2.finals)]
-    return OpResult(minimize(Dfa(len(order), alphabet, rows, 0, finals)), len(order))
+            row.append(index[nxt])
+    final = [rule(p in d1.finals, q in d2.finals) for p, q in order]
+    return OpResult(_quotient(alphabet, rows, final, final), len(order))
 
 
 def boolean(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:
@@ -179,15 +180,11 @@ def boolean(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:
 
 
 def complement(d: Dfa) -> Dfa:
-    """Complement of a complete DFA (finals flipped, then minimized)."""
-    flipped = Dfa(
-        d.state_count,
-        d.alphabet,
-        d.delta,
-        d.initial,
-        frozenset(range(d.state_count)) - d.finals,
-    )
-    return minimize(flipped)
+    """Complement of a complete DFA: the quotient of its reachable part
+    with finality flipped."""
+    rows, final = _rows(d)
+    flipped = [not f for f in final]
+    return _quotient(d.alphabet, rows, flipped, flipped)
 
 
 def is_suffix_free(d: Dfa) -> bool:

@@ -157,6 +157,18 @@ def test_nfa_state_count_must_be_a_non_negative_int():
     assert determinize(Nfa(0, ["a"], [], [], [])).state_count == 1
 
 
+def test_nfa_states_must_be_ints():
+    # A float state used to construct and then fail inside determinize
+    # with a TypeError; True was taken as state 1.
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="transition states"):
+            Nfa(2, "a", [(0, "a", bad)], [0], [1])
+        with pytest.raises(ValueError, match="initial/final"):
+            Nfa(2, "a", [(0, "a", 1)], [bad], [1])
+        with pytest.raises(ValueError, match="initial/final"):
+            Nfa(2, "a", [(0, "a", 1)], [0], [bad])
+
+
 def test_from_dict_names_the_malformed_field():
     doc = d6(4).to_dict()
     cases = {
@@ -174,6 +186,11 @@ def test_from_dict_names_the_malformed_field():
         Dfa.from_dict(dict(doc, alphabet=["", "b"]))
     with pytest.raises(ValueError, match="JSON object"):
         Dfa.from_dict([doc])
+    # A letter outside the alphabet was dropped, so a different automaton
+    # was computed on.
+    with pytest.raises(ValueError, match=r"outside the alphabet: \['z'\]"):
+        Dfa.from_dict(dict(doc, transitions=dict(doc["transitions"],
+                                                 z=[0, 0, 0, 0])))
 
 
 def test_dfa_accepts():

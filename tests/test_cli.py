@@ -300,6 +300,9 @@ def test_out_of_contract_parameters_exit_two(monkeypatch, capsys, args,
 @pytest.mark.parametrize("field, broken", [
     ("transitions", lambda doc: doc.pop("transitions")),
     ("transitions.b", lambda doc: doc["transitions"]["b"].__setitem__(1, "x")),
+    pytest.param("transitions",
+                 lambda doc: doc["transitions"].__setitem__("z", [0, 0, 0, 0]),
+                 id="transitions-letter-outside-alphabet"),
 ])
 def test_malformed_interchange_exit_two(tmp_path, monkeypatch, capsys,
                                         field, broken):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from suffixfree import automata
+from suffixfree import automata, langops
 from suffixfree.atoms import syntactic_complexity
 from suffixfree.automata import (
     Dfa,
@@ -234,50 +234,65 @@ def test_ops_match_the_reference_when_the_seed_is_cut_off(monkeypatch):
     # words of length at most 1, and Moore refinement finishes the rest.
     monkeypatch.setattr(automata, "_SEED_SUBSETS", 1)
     missing = []
-    real = automata._minimize
+    real = automata._quotient
 
-    def spy(d, seed):
-        out = real(d, seed)
-        missing.append(out.state_count - len(set(seed)))
+    def spy(alphabet, rows, final, block):
+        out = real(alphabet, rows, final, block)
+        missing.append(out.state_count - len(set(block)))
         return out
 
-    monkeypatch.setattr(automata, "_minimize", spy)
+    monkeypatch.setattr(automata, "_quotient", spy)
     _check_against_reference()
     assert max(missing) > 0
 
 
 def _seeded_runs(monkeypatch) -> list:
     """Star of d5(12), the binary product (9, 10) and reversal of
-    d6(11), each with the arguments and result of its _subset_dfa run."""
-    runs = []
-    real = automata._subset_dfa
+    d6(11), each with the arguments of its _minimal_subset_dfa call, the
+    raw subset DFA and subsets of that run, the partition its refinement
+    started from, and the result."""
+    calls, blocks = [], []
+    real, quotient = langops._minimal_subset_dfa, automata._quotient
 
     def spy(*args):
-        runs.append((args, real(*args)))
-        return runs[-1][1]
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(automata, "_subset_dfa", spy)
+    def quotient_spy(alphabet, rows, final, block):
+        blocks.append(block)
+        return quotient(alphabet, rows, final, block)
+
+    monkeypatch.setattr(langops, "_minimal_subset_dfa", spy)
+    monkeypatch.setattr(automata, "_quotient", quotient_spy)
     results = [star_full(d5(12)), concat_full(*binary_product_pair(9, 10)),
                reverse_full(d6(11))]
     monkeypatch.undo()
-    return [(args, raw, order, result)
-            for (args, (raw, order)), result in zip(runs, results)]
+    runs = []
+    for args, block, result in zip(calls, blocks, results):
+        alphabet, start, tables, finals = args
+        order, rows = _subsets(start, tables)
+        raw = Dfa(len(order), alphabet, dict(zip(alphabet, rows)), 0,
+                  [i for i, s in enumerate(order) if s & finals])
+        runs.append((args, raw, order, block, result))
+    return runs
 
 
 def test_a_finished_reversed_construction_seeds_the_nerode_partition(monkeypatch):
-    for (_, _, tables, finals), raw, order, result in _seeded_runs(monkeypatch):
+    for args, raw, order, block, result in _seeded_runs(monkeypatch):
+        _, _, tables, finals = args
         k = len(tables[0])
         found, _ = _subsets(finals, [_transpose(t, k) for t in tables],
                             automata._SEED_SUBSETS)
         assert len(found) <= automata._SEED_SUBSETS
         seed = automata._nerode_seed(order, tables, finals)
         assert len(set(seed)) == quotient_complexity(raw) == result.dfa.state_count
+        assert block == seed
 
 
 def test_a_coarser_seed_gives_the_same_minimal_dfa(monkeypatch):
     # Merging two seed classes of the same finality leaves a partition
     # between finality and Nerode's, which refinement splits again.
-    for args, _, order, result in _seeded_runs(monkeypatch):
+    for args, _, order, _, result in _seeded_runs(monkeypatch):
         _, _, tables, finals = args
         seed = automata._nerode_seed(order, tables, finals)
         final = dict(zip(seed, (bool(s & finals) for s in order)))
@@ -312,6 +327,33 @@ def test_intersection_of_d6_dialects():
     second = d6(6, "b,a,-,d,e")
     out = boolean(first, second, BooleanOp.INTERSECTION)
     assert out.state_count == 6 * 6 - 2 * (6 + 6 - 3) == 18
+
+
+def test_boolean_matches_the_minimized_reference_product():
+    rules = {
+        BooleanOp.UNION: lambda x, y: x or y,
+        BooleanOp.INTERSECTION: lambda x, y: x and y,
+        BooleanOp.DIFFERENCE: lambda x, y: x and not y,
+        BooleanOp.SYMMETRIC_DIFFERENCE: lambda x, y: x != y,
+    }
+    for d, e in _reference_cases():
+        m, n = d.state_count, e.state_count
+        # The full product: pair (p, q) is state p * n + q.
+        delta = {a: [d.delta[a][p] * n + e.delta[a][q]
+                     for p in range(m) for q in range(n)] for a in d.alphabet}
+        start = d.initial * n + e.initial
+        reachable = [start]
+        for s in reachable:
+            for a in d.alphabet:
+                if delta[a][s] not in reachable:
+                    reachable.append(delta[a][s])
+        for op, rule in rules.items():
+            finals = [p * n + q for p in range(m) for q in range(n)
+                      if rule(p in d.finals, q in e.finals)]
+            product = Dfa(m * n, d.alphabet, delta, start, finals)
+            result = boolean_full(d, e, op)
+            assert result.raw_states == len(reachable)
+            assert result.dfa.to_dict() == reference_minimize(product).to_dict()
 
 
 def test_boolean_symmetry():
