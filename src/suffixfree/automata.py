@@ -329,6 +329,13 @@ def _transpose(masks: list, k: int) -> list:
     return out
 
 
+def _preimages(d: Dfa) -> list:
+    """Per letter, the mask of each state's preimages: the tables of
+    d's reversed subset construction."""
+    return [_transpose([1 << r for r in d.delta[a]], d.state_count)
+            for a in d.alphabet]
+
+
 #: Subsets that the reversed construction of a Nerode seed expands at
 #: most; _refine finishes whatever a cut-off seed leaves open.
 _SEED_SUBSETS = 64
@@ -402,34 +409,14 @@ def determinize(n: Nfa) -> Dfa:
                [i for i, s in enumerate(order) if s & f])
 
 
-def _reachable(d: Dfa) -> list:
-    rows = [d.delta[a] for a in d.alphabet]
-    seen = {d.initial}
-    order = [d.initial]
-    for q in order:
-        for row in rows:
-            r = row[q]
-            if r not in seen:
-                seen.add(r)
-                order.append(r)
-    return order
-
-
-def _relabel(d: Dfa, order: list) -> Dfa:
-    """d with state order[i] renumbered i; order lists every state."""
-    new_of = {q: i for i, q in enumerate(order)}
-    delta = {a: [new_of[d.delta[a][q]] for q in order] for a in d.alphabet}
-    return Dfa(d.state_count, d.alphabet, delta, new_of[d.initial],
-               [new_of[q] for q in d.finals])
-
-
 def canonicalize(d: Dfa) -> Dfa:
     """Renumber states in BFS order from the initial state, letters in
     alphabet order.  Requires every state to be reachable."""
-    order = _reachable(d)
-    if len(order) != d.state_count:
+    rows, final = _rows(d)
+    if len(final) != d.state_count:
         raise ValueError("canonicalize requires all states reachable")
-    return _relabel(d, order)
+    return Dfa(len(final), d.alphabet, dict(zip(d.alphabet, rows)), 0,
+               [i for i, f in enumerate(final) if f])
 
 
 def _refine(succ: list, block: list) -> tuple:
@@ -451,11 +438,21 @@ def _refine(succ: list, block: list) -> tuple:
 
 
 def _rows(d: Dfa) -> tuple:
-    """The reachable part of d renumbered in BFS order: one successor
-    row per letter and a finality flag per state."""
-    order = _reachable(d)
-    pos = {q: i for i, q in enumerate(order)}
-    rows = [[pos[r] for r in map(d.delta[a].__getitem__, order)] for a in d.alphabet]
+    """The reachable part of d renumbered in BFS order from the initial
+    state, letters in alphabet order, the one BFS numbering of a DFA:
+    one successor row per letter and a finality flag per state."""
+    deltas = [d.delta[a] for a in d.alphabet]
+    pos = {d.initial: 0}
+    order = [d.initial]
+    rows = [[] for _ in deltas]
+    for q in order:
+        for delta, row in zip(deltas, rows):
+            r = delta[q]
+            i = pos.get(r)
+            if i is None:
+                i = pos[r] = len(order)
+                order.append(r)
+            row.append(i)
     return rows, [q in d.finals for q in order]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
-    Dfa, _mask, _minimal_subset_dfa, _quotient, _rows, _subsets, _transpose)
+    Dfa, _mask, _minimal_subset_dfa, _preimages, _quotient, _rows, _subsets)
 from .semigroups import BSF, is_subsemigroup_of, transition_semigroup
 
 
@@ -134,9 +134,7 @@ def reverse_full(d: Dfa) -> OpResult:
     """Reversal: the subset construction from the final states through
     each letter's preimages; a subset is final when it holds d's initial
     state."""
-    n = d.state_count
-    tables = [_transpose([1 << r for r in d.delta[a]], n) for a in d.alphabet]
-    return OpResult(*_minimal_subset_dfa(d.alphabet, _mask(d.finals), tables,
+    return OpResult(*_minimal_subset_dfa(d.alphabet, _mask(d.finals), _preimages(d),
                                          1 << d.initial))
 
 

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .automata import BudgetError, Dfa, Transformation, _relabel, minimize
+from .automata import BudgetError, Dfa, Transformation, minimize
 
 BSF = "bsf"
 VSF = "vsf"
@@ -48,7 +48,10 @@ class TransitionSemigroup:
         if degree > 256:
             raise ValueError(f"degree {degree} exceeds the byte encoding's "
                              "limit (max 256)")
-        elements = frozenset(elements)
+        elements = frozenset(map(Transformation, elements))
+        for t in elements:
+            if t.degree != degree:
+                raise ValueError(f"element {t} has degree {t.degree}, want {degree}")
         self._fill(degree, generators, [bytes(t) for t in elements], elements)
 
     @classmethod
@@ -233,6 +236,10 @@ def generate(degree: int, generators, names=None,
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
+    if names is not None:
+        names = list(names)
+        if len(names) != len(gens):
+            raise ValueError(f"{len(names)} names for {len(gens)} generators")
     if degree > 256:
         raise BudgetError(f"closure at degree {degree} exceeds the byte "
                           "encoding's limit (max 256)")
@@ -259,7 +266,10 @@ def _sink_last(d: Dfa) -> Dfa:
     sinks = d.empty_states()
     if len(sinks) != 1 or sinks[0] == n - 1:
         return d
-    return _relabel(d, [q for q in range(n) if q != sinks[0]] + sinks)
+    order = [q for q in range(n) if q != sinks[0]] + sinks
+    new_of = {q: i for i, q in enumerate(order)}
+    delta = {a: [new_of[d.delta[a][q]] for q in order] for a in d.alphabet}
+    return Dfa(n, d.alphabet, delta, new_of[d.initial], [new_of[q] for q in d.finals])
 
 
 def transition_semigroup(d: Dfa, max_elements: int = MAX_CLOSURE_ELEMENTS

@@ -214,16 +214,6 @@ def max_atom_table_bound(n: int, size: int) -> int:
     return middle_basis_bound(n, size)
 
 
-def _bases_of_size(n: int, size: int):
-    if size == 0:
-        yield frozenset()
-        return
-    if size == 1:
-        yield frozenset({0})
-    for combo in combinations(range(1, n - 1), size):
-        yield frozenset(combo)
-
-
 def verify_atom_table(n: int, construct: bool = None) -> list:
     """Per-basis-size maxima of atom complexity for the quinary witness,
     checked against the reference table.
@@ -235,14 +225,14 @@ def verify_atom_table(n: int, construct: bool = None) -> list:
         raise ValueError(f"no reference table column for n={n}")
     if construct is None:
         construct = n <= 7
-    complexity = _atom_complexities(d6(n)) if construct else None
+    bases, complexity = _atom_complexities(d6(n)) if construct else ([], None)
     reports = []
     for size in range(n - 1):
         expected = ATOM_TABLE[n][size]
 
         def compute(size=size):
             if construct:
-                return max(map(complexity, _bases_of_size(n, size)))
+                return max(complexity(b) for b in bases if b.bit_count() == size)
             return max_atom_table_bound(n, size)
 
         reports.append(

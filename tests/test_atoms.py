@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 import tracemalloc
@@ -268,6 +269,12 @@ def test_suffix_free_atom_bound_rejects_bad_bases():
         suffix_free_atom_bound(3, {1})
 
 
+def test_suffix_free_atom_bound_rejects_states_outside_the_range():
+    for basis in ({7}, {-1}, {1, 2, 3, 9}, {5}):
+        with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+            suffix_free_atom_bound(5, basis)
+
+
 def test_middle_basis_bound_range_check():
     with pytest.raises(ValueError):
         middle_basis_bound(5, 0)
@@ -317,6 +324,18 @@ def test_atom_report_meets_bounds_for_d6():
             assert all(row.met for row in rows)
             assert len(rows) == len(atoms(d)) == 2 ** (n - 2) + 1
             assert rows == sorted(rows, key=lambda r: (len(r.basis), r.basis))
+
+
+def test_atom_report_reads_the_atom_bases_once(monkeypatch):
+    # suffixfree.atoms names the function too; the module is looked up.
+    module = importlib.import_module("suffixfree.atoms")
+    calls = []
+    real = module._atom_bases
+    monkeypatch.setattr(module, "_atom_bases",
+                        lambda d: calls.append(d) or real(d))
+    rows = atom_report(d6(6))
+    assert len(rows) == 17
+    assert len(calls) == 1
 
 
 def test_atom_report_needs_exactly_one_empty_state():

@@ -212,6 +212,11 @@ def test_generate_closure_of_cycle():
     assert s.generators[0][0] == "r"
 
 
+def test_generate_needs_one_name_per_generator():
+    with pytest.raises(ValueError, match="1 names for 2 generators"):
+        generate(3, [(1, 1, 2), (2, 2, 2)], names=["a"])
+
+
 def test_generate_matches_enumeration_for_named_generators():
     for n in (2, 3, 4, 5, 6):
         v = generate(n, [t for _, t in vsf_generators(n)])
@@ -309,6 +314,18 @@ def test_semigroup_equality_is_by_degree_and_element_set():
         s.degree = 5
     with pytest.raises(ValueError, match="256"):
         TransitionSemigroup(257, [Transformation.identity(257)])
+
+
+def test_semigroup_elements_are_transformations_of_its_degree():
+    s = TransitionSemigroup(3, {(1, 1, 2)})
+    assert all(type(t) is Transformation for t in s.elements)
+    assert s.elements == frozenset({Transformation((1, 1, 2))})
+    with pytest.raises(ValueError, match="degree 3, want 4"):
+        TransitionSemigroup(4, {(1, 1, 2)})
+    with pytest.raises(ValueError, match="0..1"):
+        TransitionSemigroup(4, {(0, 9)})
+    with pytest.raises(ValueError, match="0..2"):
+        TransitionSemigroup(3, {(1, 7, 2)})
 
 
 def test_transition_semigroup_of_witnesses():

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from suffixfree.atoms import atoms
 from suffixfree.automata import BudgetError
 from suffixfree.langops import BooleanOp
 from suffixfree.verify import (
@@ -23,6 +26,7 @@ from suffixfree.verify import (
     verify_semigroup_classes,
     verify_star,
 )
+from suffixfree.witnesses import d6
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,28 @@ def test_atom_table_by_formula_for_large_n():
         assert all(r.met for r in reports)
         assert all(r.measure == "atom-table-formula" for r in reports)
         assert tuple(r.computed for r in reports) == ATOM_TABLE[n]
+
+
+def _bases_of_size(n: int, size: int):
+    """The bases that the atom table's rows range over: the empty set,
+    {0}, and the sets of middle states 1..n-2 of the given size."""
+    if size == 0:
+        yield frozenset()
+        return
+    if size == 1:
+        yield frozenset({0})
+    for combo in combinations(range(1, n - 1), size):
+        yield frozenset(combo)
+
+
+def test_atom_table_reads_the_atoms_of_d6_by_size():
+    # verify_atom_table groups the atoms of d6(n) by basis size; these
+    # are exactly the bases the table's rows range over.
+    for n in range(4, 10):
+        by_size = {}
+        for basis in atoms(d6(n)):
+            by_size.setdefault(len(basis), set()).add(basis)
+        assert by_size == {size: set(_bases_of_size(n, size)) for size in range(n - 1)}
 
 
 def test_max_atom_table_bound_matches_table():
