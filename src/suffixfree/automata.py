@@ -1,6 +1,6 @@
-"""Core automata values: transformations, DFAs, NFAs and the generic
-algorithms (determinization, minimization, canonical form) everything
-else builds on.
+"""Core automata values: transformations and DFAs, and the kernels
+everything else builds on: the one subset construction (_subsets) and
+minimization, whose quotient comes out canonically (BFS) numbered.
 
 States are always 0..n-1.  All values are immutable after construction
 and every operation is a pure function.
@@ -12,18 +12,16 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
-#: Marker for empty-word transitions in an Nfa.
-EPSILON = ""
-
 
 class BudgetError(ValueError):
     """Raised when a computation would exceed its stated size budget."""
 
 
 def _check_letters(alphabet: tuple) -> None:
-    """Letters are non-empty strings; "" is reserved for EPSILON."""
+    """Letters are non-empty strings: spelled out, a word holding the
+    letter "" would read as a shorter word."""
     for a in alphabet:
-        if not isinstance(a, str) or a == EPSILON:
+        if not isinstance(a, str) or a == "":
             raise ValueError(f"alphabet letters must be non-empty strings: {a!r}")
 
 
@@ -55,10 +53,6 @@ class Transformation(tuple):
     @property
     def degree(self) -> int:
         return len(self)
-
-    @property
-    def range(self) -> frozenset:
-        return frozenset(self)
 
     @classmethod
     def identity(cls, n: int) -> "Transformation":
@@ -111,9 +105,6 @@ class Dfa:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "finals", finals)
-
-    def step(self, q: int, letter: str) -> int:
-        return self.delta[letter][q]
 
     def run(self, word: Sequence[str]) -> int:
         q = self.initial
@@ -188,44 +179,6 @@ class Dfa:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """A nondeterministic automaton; EPSILON transitions are allowed."""
-
-    state_count: int
-    alphabet: tuple
-    transitions: frozenset
-    initials: frozenset
-    finals: frozenset
-
-    def __init__(self, state_count, alphabet, transitions, initials, finals):
-        if type(state_count) is not int or state_count < 0:
-            raise ValueError(f"state_count must be an int >= 0, got {state_count!r}")
-        alphabet = tuple(alphabet)
-        _check_letters(alphabet)
-        transitions = frozenset(tuple(t) for t in transitions)
-        initials = frozenset(initials)
-        finals = frozenset(finals)
-        letters = set(alphabet) | {EPSILON}
-
-        def state(q) -> bool:
-            return type(q) is int and 0 <= q < state_count
-
-        for src, a, dst in transitions:
-            if not (state(src) and state(dst)):
-                raise ValueError("transition states must be ints in range: "
-                                 f"{(src, a, dst)}")
-            if a not in letters:
-                raise ValueError(f"unknown letter in transition: {a!r}")
-        if not all(map(state, initials | finals)):
-            raise ValueError("initial/final states must be ints in range")
-        object.__setattr__(self, "state_count", state_count)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "initials", initials)
-        object.__setattr__(self, "finals", finals)
-
-
 def word_transformation(d: Dfa, word: Sequence[str]) -> Transformation:
     """The transformation induced by a non-empty word of d's alphabet."""
     if len(word) == 0:
@@ -240,16 +193,6 @@ def word_transformation(d: Dfa, word: Sequence[str]) -> Transformation:
 
 def _mask(states) -> int:
     return sum(1 << q for q in states)
-
-
-def _union(rows: list, mask: int) -> int:
-    """OR of rows[q] over the states q in mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 #: Subset bits looked up at once.  k states are cut into c >= ceil(k/12)
@@ -380,43 +323,6 @@ def _minimal_subset_dfa(alphabet: tuple, start: int, tables: list,
     seed = _nerode_seed(order, tables, finals)
     del order  # freed before refinement and quotient, where memory peaks
     return _quotient(alphabet, rows, final, seed), len(final)
-
-
-def determinize(n: Nfa) -> Dfa:
-    """Reachable-subset construction with epsilon closure.
-
-    The empty subset, if reachable, is kept as an explicit non-final
-    sink so the result is complete.  Result states are numbered in BFS
-    discovery order with letters scanned in alphabet order.
-    """
-    k = n.state_count
-    succ = {a: [0] * k for a in (EPSILON,) + n.alphabet}
-    for src, a, dst in n.transitions:
-        succ[a][src] |= 1 << dst
-    closure = []
-    for q in range(k):
-        reach = frontier = 1 << q
-        while frontier:
-            frontier = _union(succ[EPSILON], frontier) & ~reach
-            reach |= frontier
-        closure.append(reach)
-    # Closure distributes over union, so stepping a closed subset
-    # through the closed successors of its states keeps it closed.
-    tables = [[_union(closure, m) for m in succ[a]] for a in n.alphabet]
-    order, rows = _subsets(_union(closure, _mask(n.initials)), tables)
-    f = _mask(n.finals)
-    return Dfa(len(order), n.alphabet, dict(zip(n.alphabet, rows)), 0,
-               [i for i, s in enumerate(order) if s & f])
-
-
-def canonicalize(d: Dfa) -> Dfa:
-    """Renumber states in BFS order from the initial state, letters in
-    alphabet order.  Requires every state to be reachable."""
-    rows, final = _rows(d)
-    if len(final) != d.state_count:
-        raise ValueError("canonicalize requires all states reachable")
-    return Dfa(len(final), d.alphabet, dict(zip(d.alphabet, rows)), 0,
-               [i for i, f in enumerate(final) if f])
 
 
 def _refine(succ: list, block: list) -> tuple:

@@ -18,7 +18,6 @@ from enum import Enum
 
 from .automata import (
     Dfa, _mask, _minimal_subset_dfa, _preimages, _quotient, _rows, _subsets)
-from .semigroups import BSF, is_subsemigroup_of, transition_semigroup
 
 
 class BooleanOp(Enum):
@@ -200,20 +199,3 @@ def is_suffix_free(d: Dfa) -> bool:
     order, _ = _subsets(loop | 1 << d.initial, tables)
     f = _mask(d.finals)
     return not any(s & f and s >> n & f for s in order)
-
-
-@dataclass(frozen=True)
-class SuffixFreeReport:
-    suffix_free: bool
-    #: Necessary-condition diagnostic: is the transition semigroup of the
-    #: minimal DFA contained in bsf?  Implied by suffix_free; the converse
-    #: needs a unique final quotient, so this is reported separately.
-    semigroup_in_bsf: bool
-
-
-def suffix_free_report(d: Dfa) -> SuffixFreeReport:
-    sf = is_suffix_free(d)
-    ts = transition_semigroup(d)
-    # bsf is defined only for degree >= 2; a one-state language fails it.
-    in_b = ts.degree >= 2 and is_subsemigroup_of(ts, BSF)
-    return SuffixFreeReport(suffix_free=sf, semigroup_in_bsf=in_b)

@@ -45,6 +45,8 @@ class TransitionSemigroup:
     __slots__ = ("degree", "generators", "_raw", "_set", "_elements")
 
     def __init__(self, degree: int, elements, generators: tuple = None):
+        if type(degree) is not int or degree < 1:
+            raise ValueError(f"degree must be an int >= 1, got {degree!r}")
         if degree > 256:
             raise ValueError(f"degree {degree} exceeds the byte encoding's "
                              "limit (max 256)")
@@ -232,6 +234,8 @@ def generate(degree: int, generators, names=None,
     lies in 0..degree-1.  The byte encoding caps the degree at 256.  More
     than max_elements elements raise BudgetError.
     """
+    if type(degree) is not int or degree < 1:
+        raise ValueError(f"degree must be an int >= 1, got {degree!r}")
     gens = [Transformation(g) for g in generators]
     for g in gens:
         if g.degree != degree:

@@ -4,10 +4,13 @@ reference implementations used as oracles."""
 import random
 from collections import deque
 from itertools import combinations, product
+from typing import NamedTuple
 
-from suffixfree.automata import (
-    EPSILON, Dfa, Nfa, Transformation, canonicalize, minimize)
+from suffixfree.automata import Dfa, Transformation, minimize
 from suffixfree.langops import BooleanOp, boolean
+
+#: The letter of empty-word transitions in an Nfa.
+EPSILON = ""
 
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:
@@ -49,6 +52,19 @@ def reference_focused_pairs(s) -> frozenset:
     return frozenset(pairs)
 
 
+class Nfa(NamedTuple):
+    """A nondeterministic automaton over states 0..state_count-1, for the
+    textbook constructions the oracles determinize: (src, letter, dst)
+    transitions, EPSILON ones allowed, and sets of initial and final
+    states.  Not validated."""
+
+    state_count: int
+    alphabet: tuple
+    transitions: list
+    initials: set
+    finals: set
+
+
 def _edge_map(n: Nfa) -> dict:
     by_src: dict = {}
     for src, a, dst in n.transitions:
@@ -68,10 +84,11 @@ def _eps_closure(states: frozenset, by_src: dict) -> frozenset:
     return frozenset(seen)
 
 
-def reference_determinize(n: Nfa) -> Dfa:
+def reference_subsets(n: Nfa) -> tuple:
     """Subset construction on frozensets, with an epsilon closure
-    recomputed at every step; independent of the bitmask kernel behind
-    automata.determinize.  Same BFS numbering and letter order."""
+    recomputed at every step; independent of the bitmask kernel
+    automata._subsets.  Returns the subsets in BFS order, letters
+    scanned in alphabet order, and one successor row per letter."""
     by_src = _edge_map(n)
     start = _eps_closure(n.initials, by_src)
     index = {start: 0}
@@ -90,19 +107,20 @@ def reference_determinize(n: Nfa) -> Dfa:
                 order.append(nxt)
                 queue.append(nxt)
             rows[a].append(index[nxt])
-    delta = {a: Transformation(rows[a]) for a in n.alphabet}
-    finals = frozenset(i for s, i in index.items() if s & n.finals)
-    return Dfa(len(order), n.alphabet, delta, 0, finals)
+    return order, [rows[a] for a in n.alphabet]
+
+
+def reference_determinize(n: Nfa) -> Dfa:
+    """The DFA of reference_subsets: a subset is final when it meets
+    n's finals."""
+    order, rows = reference_subsets(n)
+    return Dfa(len(order), n.alphabet, dict(zip(n.alphabet, rows)), 0,
+               [i for i, s in enumerate(order) if s & n.finals])
 
 
 def _dfa_triples(d: Dfa, off: int = 0) -> list:
     return [(off + q, a, off + d.delta[a][q])
             for a in d.alphabet for q in range(d.state_count)]
-
-
-def nfa_from_dfa(d: Dfa) -> Nfa:
-    """d as an NFA with the same states, transitions, initial and finals."""
-    return Nfa(d.state_count, d.alphabet, _dfa_triples(d), {d.initial}, d.finals)
 
 
 def reference_star_nfa(d: Dfa) -> Nfa:
@@ -150,14 +168,14 @@ def reference_is_suffix_free(d: Dfa) -> bool:
 
 
 def random_nfa(rng: random.Random, n: int, letters: int) -> Nfa:
-    """An epsilon-NFA on n states (n may be 0); initials and finals may
-    be empty."""
+    """An NFA without EPSILON transitions on n states (n may be 0);
+    initials and finals may be empty."""
     alphabet = tuple("abcdefgh"[:letters])
-    triples = [(p, a, q) for p in range(n) for a in (EPSILON,) + alphabet
+    triples = [(p, a, q) for p in range(n) for a in alphabet
                for q in range(n) if rng.random() < 0.8 / n]
     initials = rng.sample(range(n), min(n, rng.choice((0, 1, 1, 2, 3))))
-    finals = [q for q in range(n) if rng.random() < 0.4]
-    return Nfa(n, alphabet, triples, initials, finals)
+    finals = {q for q in range(n) if rng.random() < 0.4}
+    return Nfa(n, alphabet, triples, set(initials), finals)
 
 
 def _reference_atom_reachable(d: Dfa, basis: frozenset):
@@ -220,10 +238,33 @@ def random_dfa(rng: random.Random, n: int, letters: int) -> Dfa:
     return Dfa(n, alphabet, delta, 0, finals)
 
 
+def reference_canonicalize(d: Dfa) -> Dfa:
+    """d renumbered by a BFS from its initial state, letters in alphabet
+    order, independent of the BFS behind automata._rows.  Every state of
+    d must be reachable."""
+    number = {d.initial: 0}
+    queue = deque([d.initial])
+    while queue:
+        q = queue.popleft()
+        for a in d.alphabet:
+            r = d.delta[a][q]
+            if r not in number:
+                number[r] = len(number)
+                queue.append(r)
+    assert len(number) == d.state_count, "unreachable states"
+    delta = {a: [0] * d.state_count for a in d.alphabet}
+    for q, i in number.items():
+        for a in d.alphabet:
+            delta[a][i] = number[d.delta[a][q]]
+    return Dfa(d.state_count, d.alphabet, delta, 0,
+               [number[q] for q in d.finals])
+
+
 def reference_minimize(d: Dfa) -> Dfa:
     """Moore refinement on tuple signatures over dicts, independent of
     the list-based refinement behind automata.minimize; the quotient is
-    renumbered by canonicalize, so the result is the canonical one."""
+    renumbered by reference_canonicalize, so the result is the canonical
+    one."""
     order = [d.initial]
     for q in order:
         for a in d.alphabet:
@@ -254,8 +295,8 @@ def reference_minimize(d: Dfa) -> Dfa:
             row[ids[b]] = ids[block[d.delta[a][q]]]
         delta[a] = row
     finals = frozenset(ids[b] for b, q in reps.items() if q in d.finals)
-    return canonicalize(Dfa(n_blocks, d.alphabet, delta,
-                            ids[block[d.initial]], finals))
+    return reference_canonicalize(Dfa(n_blocks, d.alphabet, delta,
+                                      ids[block[d.initial]], finals))
 
 
 def reference_raw_atom_dfa(d: Dfa, basis) -> Dfa:

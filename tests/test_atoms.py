@@ -17,7 +17,7 @@ from suffixfree.atoms import (
     suffix_free_atom_bound,
     syntactic_complexity,
 )
-from suffixfree.automata import Dfa, Nfa, is_isomorphic, minimize, quotient_complexity
+from suffixfree.automata import Dfa, is_isomorphic, minimize, quotient_complexity
 from suffixfree.langops import BooleanOp, boolean, reverse, reverse_full
 from suffixfree.semigroups import wsf_cardinality
 from suffixfree.witnesses import d6
@@ -29,6 +29,7 @@ from helpers import (
     reference_atoms,
     reference_determinize,
     reference_raw_atom_dfa,
+    reference_reverse_nfa,
 )
 
 
@@ -104,10 +105,7 @@ def test_atom_count_across_three_chunks():
     cycle = [(q + 1) % n for q in range(n)]
     merge = [1] + list(range(1, n))
     d = Dfa(n, "ab", {"a": cycle, "b": merge}, 0, {0})
-    reversed_nfa = Nfa(n, d.alphabet, [(r, a, q) for a in d.alphabet
-                                       for q, r in enumerate(d.delta[a])],
-                       d.finals, {d.initial})
-    assert len(atoms(d)) == reference_determinize(reversed_nfa).state_count == 704
+    assert len(atoms(d)) == reference_determinize(reference_reverse_nfa(d)).state_count == 704
 
 
 def test_atoms_match_reference_sweep_on_d6():

@@ -8,11 +8,11 @@ import pytest
 from suffixfree import langops
 from suffixfree.automata import (
     Dfa,
-    Nfa,
     Transformation,
-    canonicalize,
+    _mask,
+    _rows,
+    _subsets,
     compose,
-    determinize,
     is_isomorphic,
     minimize,
     quotient_complexity,
@@ -22,17 +22,17 @@ from suffixfree.witnesses import d5, d6
 
 from helpers import (
     brute_force_state_count,
-    nfa_from_dfa,
     random_dfa,
     random_nfa,
     random_transformation,
+    reference_canonicalize,
     reference_concat_nfa,
     reference_determinize,
     reference_is_suffix_free,
     reference_minimize,
     reference_reverse_nfa,
     reference_star_nfa,
-    reference_suffix_nfa,
+    reference_subsets,
 )
 
 
@@ -138,35 +138,11 @@ def test_dfa_state_numbers_must_be_ints():
 
 
 def test_alphabet_letters_must_be_non_empty_strings():
-    # "" is EPSILON in the NFA layer: accepting it as a letter made
-    # is_suffix_free answer wrongly instead of raising.
+    # Spelled out, a word holding the letter "" reads as a shorter word.
     with pytest.raises(ValueError, match="non-empty strings"):
         Dfa(2, ("", "a"), {"": (1, 1), "a": (1, 1)}, 0, {1})
     with pytest.raises(ValueError, match="non-empty strings"):
         Dfa(1, (1,), {1: (0,)}, 0, set())
-    with pytest.raises(ValueError, match="non-empty strings"):
-        Nfa(2, ("", "a"), [(0, "a", 1)], {0}, {1})
-    with pytest.raises(ValueError, match="non-empty strings"):
-        Nfa(2, (None,), [], {0}, {1})
-
-
-def test_nfa_state_count_must_be_a_non_negative_int():
-    for count in (-3, 2.0, "2"):
-        with pytest.raises(ValueError, match="state_count"):
-            Nfa(count, ["a"], [], [], [])
-    assert determinize(Nfa(0, ["a"], [], [], [])).state_count == 1
-
-
-def test_nfa_states_must_be_ints():
-    # A float state used to construct and then fail inside determinize
-    # with a TypeError; True was taken as state 1.
-    for bad in (1.0, True):
-        with pytest.raises(ValueError, match="transition states"):
-            Nfa(2, "a", [(0, "a", bad)], [0], [1])
-        with pytest.raises(ValueError, match="initial/final"):
-            Nfa(2, "a", [(0, "a", 1)], [bad], [1])
-        with pytest.raises(ValueError, match="initial/final"):
-            Nfa(2, "a", [(0, "a", 1)], [0], [bad])
 
 
 def test_from_dict_names_the_malformed_field():
@@ -216,27 +192,51 @@ def test_to_dot_mentions_all_states():
 
 
 # ---------------------------------------------------------------------------
-# determinize
+# The subset kernel _subsets, against the frozenset subset construction
+
+def _tables(n) -> list:
+    """The kernel's tables of an NFA without EPSILON transitions: per
+    letter, the mask of each state's successors."""
+    tables = [[0] * n.state_count for _ in n.alphabet]
+    for src, a, dst in n.transitions:
+        tables[n.alphabet.index(a)][src] |= 1 << dst
+    return tables
+
+
+def _assert_subsets_match_reference(n) -> None:
+    order, rows = _subsets(_mask(n.initials), _tables(n))
+    reference_order, reference_rows = reference_subsets(n)
+    assert order == [_mask(s) for s in reference_order]
+    assert rows == reference_rows
+
+
+def _singleton_run(d: Dfa) -> Dfa:
+    """The kernel run over d's own transitions from {initial}, as a DFA:
+    every subset is a singleton, so it is d renumbered in BFS order."""
+    order, rows = _subsets(1 << d.initial, [[1 << r for r in d.delta[a]]
+                                            for a in d.alphabet])
+    finals = _mask(d.finals)
+    return Dfa(len(order), d.alphabet, dict(zip(d.alphabet, rows)), 0,
+               [i for i, s in enumerate(order) if s & finals])
+
 
 def test_determinize_deterministic_input_is_isomorphic():
     d = d6(5)
-    n = nfa_from_dfa(d)
-    assert is_isomorphic(determinize(n), d)
+    assert is_isomorphic(_singleton_run(d), d)
 
 
 def test_determinize_keeps_empty_subset_as_sink():
     # single letter, no transition out of state 0
-    n = Nfa(2, ("a",), [(1, "a", 1)], {0}, {0})
-    out = determinize(n)
-    assert out.state_count == 2
-    assert quotient_complexity(out) == 2
+    order, rows = _subsets(0b01, [[0b00, 0b10]])
+    assert order == [0b01, 0b00]
+    assert rows == [[1, 1]]
 
 
 def test_determinize_matches_reference_on_random_nfas():
     rng = random.Random(4)
     for _ in range(400):
-        n = random_nfa(rng, rng.randrange(9), rng.randrange(1, 4))
-        assert determinize(n).to_dict() == reference_determinize(n).to_dict()
+        _assert_subsets_match_reference(
+            random_nfa(rng, rng.randrange(9), rng.randrange(1, 4)))
 
 
 def test_determinize_matches_reference_across_chunk_boundaries():
@@ -247,8 +247,7 @@ def test_determinize_matches_reference_across_chunk_boundaries():
     for size in (0, 1, 11, 12, 13, 24, 25, 30, 40, 64, 100):
         for letters in range(4):
             for _ in range(10):
-                n = random_nfa(rng, size, letters)
-                assert determinize(n).to_dict() == reference_determinize(n).to_dict()
+                _assert_subsets_match_reference(random_nfa(rng, size, letters))
 
 
 def _cycle_dfa(n: int) -> Dfa:
@@ -263,45 +262,40 @@ def test_determinize_of_a_large_dfa_keeps_its_tables_small():
     # Half tables would need 2 * 2**100 entries at 200 states.
     d = _cycle_dfa(200)
     start = time.perf_counter()
-    out = determinize(nfa_from_dfa(d))
+    out = _singleton_run(d)
     assert time.perf_counter() - start < 1.0
-    assert out == canonicalize(d)
+    assert out == reference_canonicalize(d)
 
 
 def test_determinize_of_a_1000_state_dfa_keeps_its_tables_small():
     # Chunks of 12 states would take 92 MB of tables here.
     d = _cycle_dfa(1000)
-    nfa = nfa_from_dfa(d)
     tracemalloc.start()
     try:
-        out = determinize(nfa)
+        out = _singleton_run(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == canonicalize(d)
+    assert out == reference_canonicalize(d)
     assert peak <= 10 * 2 ** 20
 
 
 def test_determinize_matches_reference_on_witness_nfas():
     # The ops run the subset kernel on tables built from DFA rows; each
     # must match determinizing the textbook epsilon-NFA of the op.
-    ops, nfas = [], []
+    ops = []
     for n in range(6, 11):
         d, d1, d2, r = d5(n, "a,b,-"), d5(n), d5(6, "b,c,a"), d6(n)
         ops += [(reference_star_nfa(d), langops.star_full(d), langops.star(d)),
                 (reference_concat_nfa(d1, d2), langops.concat_full(d1, d2),
                  langops.concat(d1, d2)),
                 (reference_reverse_nfa(r), langops.reverse_full(r), langops.reverse(r))]
-        nfas.append(reference_suffix_nfa(r))
         assert langops.is_suffix_free(r) and reference_is_suffix_free(r)
-    nfas += [nfa for nfa, _, _ in ops]
-    assert len(nfas) == 20
-    for n in nfas:
-        assert determinize(n).to_dict() == reference_determinize(n).to_dict()
+    assert len(ops) == 15
     for nfa, full, dfa in ops:
         reference = reference_determinize(nfa)
         assert full.raw_states == reference.state_count
-        assert full.dfa == dfa == minimize(reference)
+        assert full.dfa.to_dict() == dfa.to_dict() == minimize(reference).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +365,9 @@ def test_quotient_complexity_invariant_under_renumbering():
 def test_canonicalize_is_bfs_in_alphabet_order():
     # states discovered as 0, then via a, then via b
     d = Dfa(3, ("a", "b"), {"a": (2, 2, 2), "b": (1, 1, 1)}, 0, {1})
-    c = canonicalize(d)
     # canonical: 0 -> 0, a-successor 2 -> 1, b-successor 1 -> 2
-    assert c.delta["a"] == Transformation((1, 1, 1))
-    assert c.delta["b"] == Transformation((2, 2, 2))
-    assert c.finals == frozenset({2})
+    assert _rows(d) == ([[1, 1, 1], [2, 2, 2]], [False, False, True])
+    assert _singleton_run(d) == reference_canonicalize(d)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from suffixfree.langops import (
     reverse_full,
     star,
     star_full,
-    suffix_free_report,
 )
+from suffixfree.semigroups import BSF, is_subsemigroup_of, transition_semigroup
 from suffixfree.witnesses import binary_product_pair, d5, d6
 
 from helpers import (
@@ -394,9 +394,9 @@ def test_complement_involution():
 def test_a_star_is_not_suffix_free():
     d = Dfa(1, ("a",), {"a": (0,)}, 0, {0})
     assert not is_suffix_free(d)
-    report = suffix_free_report(d)
-    assert not report.suffix_free
-    assert not report.semigroup_in_bsf
+    # bsf is defined only for degree >= 2; a one-state language fails it.
+    ts = transition_semigroup(d)
+    assert not (ts.degree >= 2 and is_subsemigroup_of(ts, BSF))
 
 
 def test_witnesses_are_suffix_free():
@@ -405,8 +405,8 @@ def test_witnesses_are_suffix_free():
     for m in range(6, 9):
         left, _ = binary_product_pair(m, 7)
         assert is_suffix_free(left)
-    report = suffix_free_report(d6(5))
-    assert report.suffix_free and report.semigroup_in_bsf
+    assert is_suffix_free(d6(5))
+    assert is_subsemigroup_of(transition_semigroup(d6(5)), BSF)
 
 
 def test_suffix_free_decision_agrees_with_word_check():
@@ -430,7 +430,6 @@ def test_suffix_free_decision_agrees_with_word_check():
 
 def test_no_witness_word_fixes_initial_state():
     # minimal suffix-free DFAs admit no non-trivial word with 0w = 0
-    from suffixfree.semigroups import transition_semigroup
     for d in (d5(6), d6(5), binary_product_pair(6, 7)[0]):
         s = transition_semigroup(d)
         assert all(t[0] != 0 for t in s.elements)

@@ -328,6 +328,16 @@ def test_semigroup_elements_are_transformations_of_its_degree():
         TransitionSemigroup(3, {(1, 7, 2)})
 
 
+def test_semigroup_degree_must_be_an_int_of_at_least_one():
+    # A float degree built a semigroup, or escaped from generate as a
+    # TypeError of the closure kernel; degrees 0 and -4 built empty ones.
+    for degree, elements in ((3.0, [(1, 1, 2)]), (True, [(0,)]), (0, []), (-4, [])):
+        with pytest.raises(ValueError, match="degree must be an int >= 1"):
+            TransitionSemigroup(degree, elements)
+        with pytest.raises(ValueError, match="degree must be an int >= 1"):
+            generate(degree, elements)
+
+
 def test_transition_semigroup_of_witnesses():
     s = transition_semigroup(d5(6))
     assert s.degree == 6
