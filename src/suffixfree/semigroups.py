@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 
 from .automata import BudgetError, Dfa, Transformation, minimize
@@ -318,9 +319,72 @@ def enumerate_class(n: int, cls: str, check_closed: bool = None) -> frozenset:
     return frozenset(Transformation(t) for t in hits)
 
 
+def _columns(degree: int, raw: list) -> list:
+    """Byte columns of the bytes elements raw: column q holds q's image
+    under every element, in element order."""
+    joined = b"".join(raw)
+    return [joined[q::degree] for q in range(degree)]
+
+
+def _lanes(column: bytes, table: bytes) -> int:
+    """column.translate(table) read as one int, byte i for element i."""
+    return int.from_bytes(column.translate(table), "little")
+
+
+def _all_in_class(degree: int, raw: list, cls: str) -> bool:
+    """Whether every element of raw is in vsf or wsf (cls), read off the
+    byte columns; see is_subsemigroup_of."""
+    sink = degree - 1
+    cols = _columns(degree, raw)
+    if cols[sink] != bytes([sink]) * len(raw) or any(0 in c for c in cols):
+        return False
+    if cls == WSF:
+        live = bytearray(b"\x01" * 256)
+        live[sink] = 0
+        middle_live = reduce(operator.or_,
+                             [_lanes(cols[q], live) for q in range(1, sink)], 0)
+        return not (_lanes(cols[0], live) & middle_live)
+    # Middle value v is bit (v - low) of a lane, for eight values at a
+    # time: a lane's sum over the non-sink columns exceeds its OR iff two
+    # of them hold the same value.
+    for low in range(1, sink, 8):
+        bit = bytearray(256)
+        for v in range(low, min(low + 8, sink)):
+            bit[v] = 1 << (v - low)
+        lanes = [_lanes(cols[q], bit) for q in range(sink)]
+        if sum(lanes) != reduce(operator.or_, lanes):
+            return False
+    return True
+
+
 def is_subsemigroup_of(s: TransitionSemigroup, cls: str) -> bool:
-    """True iff every element passes the class membership predicate."""
-    return all(map(_PREDICATE[cls], s._raw))
+    """True iff every element passes the class membership predicate.
+
+    vsf and wsf are checked for all elements at once on byte columns.
+    Let t fix the sink s = n-1 and miss 0.  If t is injective off the
+    sink, so is every power t**j, so t**j(0) = t**j(q) != s forces
+    q = 0; if t(0) = s, or t sends every middle state to s, then
+    t**2(0) = s.  Either way bsf's power condition holds, hence
+
+    * in_vsf(t) iff s is fixed, 0 is not an image and t is injective
+      off the sink;
+    * in_wsf(t) iff s is fixed, 0 is not an image and t(0) = s or
+      every middle state maps to s.
+
+    A semigroup outside the class mostly shows it among its first
+    elements (a closure lists its generators first), so the first 64
+    are checked before all of them.  bsf needs each element's powers
+    and keeps the per-element predicate.
+    """
+    if cls not in _PREDICATE:
+        raise ValueError(f"unknown class {cls!r}")
+    raw = s._raw
+    if cls == BSF or not raw:
+        return all(map(in_bsf, raw))
+    if s.degree < 2:
+        raise ValueError("degree must be >= 2")
+    return (_all_in_class(s.degree, raw[:64], cls)
+            and _all_in_class(s.degree, raw, cls))
 
 
 def colliding_pairs(s: TransitionSemigroup) -> frozenset:
@@ -350,12 +414,12 @@ def focused_pairs(s: TransitionSemigroup) -> frozenset:
     some element.
     """
     n = s.degree
-    joined = b"".join(s._raw)
+    cols = _columns(n, s._raw)
     left, right = bytearray(range(256)), bytearray(range(256))
     left[0] = n - 1
     right[n - 1] = 0
-    lefts = [joined[q::n].translate(left) for q in range(n)]
-    rights = [joined[q::n].translate(right) for q in range(n)]
+    lefts = [c.translate(left) for c in cols]
+    rights = [c.translate(right) for c in cols]
     return frozenset(
         (p, q) for p, q in combinations(range(1, n - 1), 2)
         if any(map(operator.eq, lefts[p], rights[q])))

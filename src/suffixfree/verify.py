@@ -307,6 +307,9 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
     Records the largest suffix-free semigroup found and whether any
     closure has all middle pairs simultaneously colliding and focused.
     """
+    for name, value in (("n", n), ("cap", cap)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if cap < 1:
         raise ValueError(f"generator-set size cap must be >= 1, not {cap}")
     if n > 5:

@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 from suffixfree.automata import Dfa, Transformation, minimize
 from suffixfree.langops import BooleanOp, boolean
+from suffixfree.semigroups import BSF, VSF, WSF, in_bsf, in_vsf, in_wsf
 
 #: The letter of empty-word transitions in an Nfa.
 EPSILON = ""
@@ -33,6 +34,12 @@ def reference_closure(generators) -> frozenset:
                 seen.add(u)
                 queue.append(u)
     return frozenset(seen)
+
+
+def reference_is_subsemigroup_of(s, cls: str) -> bool:
+    """Class membership by one predicate call per element, independent
+    of the column scan behind semigroups.is_subsemigroup_of."""
+    return all(map({BSF: in_bsf, VSF: in_vsf, WSF: in_wsf}[cls], s._raw))
 
 
 def reference_focused_pairs(s) -> frozenset:

@@ -29,7 +29,11 @@ from suffixfree.verify import star_side_semigroup
 from suffixfree.witnesses import d5, d6
 
 from helpers import (
-    random_transformation, reference_closure, reference_focused_pairs)
+    random_transformation,
+    reference_closure,
+    reference_focused_pairs,
+    reference_is_subsemigroup_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +363,97 @@ def test_sink_last_renumbering():
     # no rejecting sink: returned unchanged
     total = Dfa(2, ("a",), {"a": (1, 0)}, 0, {0})
     assert _sink_last(total) is total
+
+
+# ---------------------------------------------------------------------------
+# class membership of whole semigroups
+
+def _assert_membership_matches_reference(s):
+    for cls in (VSF, WSF):
+        assert is_subsemigroup_of(s, cls) == reference_is_subsemigroup_of(s, cls), (
+            s, cls)
+
+
+def test_membership_matches_reference_on_single_elements():
+    # Every transformation of degree 2..5, and a sample at degree 6, as a
+    # one-element semigroup: the column test agrees with the predicates
+    # on each element, power condition included.
+    rng = random.Random(14)
+    elements = [t for n in range(2, 6) for t in product(range(n), repeat=n)]
+    elements += [random_transformation(rng, 6) for _ in range(3000)]
+    for t in elements:
+        _assert_membership_matches_reference(TransitionSemigroup(len(t), [t]))
+
+
+def _random_member(rng, n: int, cls: str) -> list:
+    """A random element of vsf(n) or wsf(n)."""
+    sink = n - 1
+    t = [sink] * n
+    if cls == VSF:
+        middles = list(range(1, sink))
+        rng.shuffle(middles)
+        for q, v in zip(rng.sample(range(sink), rng.randint(0, n - 2)), middles):
+            t[q] = v
+    elif rng.random() < 0.5:
+        t[1:sink] = [rng.randrange(1, n) for _ in range(1, sink)]
+    else:
+        t[0] = rng.randrange(1, n)
+    return t
+
+
+def _spoil(rng, t: list) -> list:
+    """t with 0 in its image, an unfixed sink or a middle value hit twice."""
+    n = len(t)
+    t = list(t)
+    kind = rng.randrange(3) if n > 2 else rng.randrange(2)
+    if kind == 0:
+        t[rng.randrange(n)] = 0
+    elif kind == 1:
+        t[n - 1] = rng.randrange(n - 1)
+    else:
+        p, q = rng.sample(range(n - 1), 2)
+        t[p] = t[q] = rng.randrange(1, n - 1)
+    return t
+
+
+def test_membership_matches_reference_on_random_element_sets():
+    # Element sets of degree 2..8 drawn from vsf, wsf or both, up to 150
+    # elements so that some outlast the 64-element screen; half of them
+    # get one spoiled element at a random position.
+    rng = random.Random(1402)
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        classes = rng.choice([(VSF,), (WSF,), (VSF, WSF)])
+        raw = [bytes(_random_member(rng, n, rng.choice(classes)))
+               for _ in range(rng.randint(1, 150))]
+        if rng.random() < 0.5:
+            raw.insert(rng.randrange(len(raw) + 1),
+                       bytes(_spoil(rng, rng.choice(raw))))
+        s = TransitionSemigroup._of_bytes(n, list(dict.fromkeys(raw)))
+        _assert_membership_matches_reference(s)
+
+
+def test_membership_matches_reference_on_witness_semigroups():
+    for n in range(4, 9):
+        for s in (star_side_semigroup(n),
+                  transition_semigroup(d6(n, "a,-,c,-,e")),
+                  transition_semigroup(d6(n))):
+            _assert_membership_matches_reference(s)
+
+
+def test_empty_semigroup_is_inside_every_class():
+    for n in range(1, 6):
+        for cls in (BSF, VSF, WSF):
+            assert is_subsemigroup_of(TransitionSemigroup(n, []), cls)
+
+
+def test_membership_rejects_unknown_class_and_degree_one():
+    s = transition_semigroup(d6(5))
+    with pytest.raises(ValueError, match="unknown class 'xsf'"):
+        is_subsemigroup_of(s, "xsf")
+    for cls in (BSF, VSF, WSF):
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            is_subsemigroup_of(TransitionSemigroup(1, [(0,)]), cls)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,15 @@ def test_search_reports_are_unchanged():
         "complete": True}
 
 
+def test_search_rejects_arguments_that_are_not_ints():
+    # A float escaped as a TypeError from range, and cap=True ran as cap 1
+    # with generator_cap reported as True.
+    for n, cap, name in ((4.0, 1, "n"), (True, 1, "n"), (5, 2.5, "cap"),
+                         (4, True, "cap"), (4, "2", "cap")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            search_subsemigroups(n, cap)
+
+
 def test_search_budgets():
     with pytest.raises(BudgetError):
         search_subsemigroups(6)
