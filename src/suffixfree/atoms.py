@@ -194,8 +194,8 @@ def suffix_free_atom_bound(n: int, basis) -> int:
     atom basis of a suffix-free language.
     """
     basis = frozenset(basis)
-    if n < 4:
-        raise ValueError("bounds apply for n >= 4")
+    if type(n) is not int or n < 4:
+        raise ValueError(f"bounds apply for int n >= 4, not n = {n!r}")
     outside = sorted(q for q in basis if not 0 <= q < n)
     if outside:
         raise ValueError(f"basis states {outside} lie outside 0..{n - 1}")

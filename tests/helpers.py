@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from suffixfree.automata import Dfa, Transformation, minimize
 from suffixfree.langops import BooleanOp, boolean
-from suffixfree.semigroups import BSF, VSF, WSF, in_bsf, in_vsf, in_wsf
+from suffixfree.semigroups import BSF, VSF, WSF, in_bsf
 
 #: The letter of empty-word transitions in an Nfa.
 EPSILON = ""
@@ -36,10 +36,41 @@ def reference_closure(generators) -> frozenset:
     return frozenset(seen)
 
 
+def reference_in_vsf(t) -> bool:
+    """vsf by its definition: bsf membership, power loop included, plus
+    injectivity away from the sink; independent of the lemma behind
+    semigroups.in_vsf."""
+    n = len(t)
+    if not in_bsf(t):
+        return False
+    seen = set()
+    for q in range(n):
+        x = t[q]
+        if x != n - 1:
+            if x in seen:
+                return False
+            seen.add(x)
+    return True
+
+
+def reference_in_wsf(t) -> bool:
+    """wsf by its definition: bsf membership, power loop included, plus
+    0 or every middle state sent to the sink; independent of the lemma
+    behind semigroups.in_wsf."""
+    n = len(t)
+    if not in_bsf(t):
+        return False
+    if t[0] == n - 1:
+        return True
+    return all(t[q] == n - 1 for q in range(1, n - 1))
+
+
 def reference_is_subsemigroup_of(s, cls: str) -> bool:
-    """Class membership by one predicate call per element, independent
-    of the column scan behind semigroups.is_subsemigroup_of."""
-    return all(map({BSF: in_bsf, VSF: in_vsf, WSF: in_wsf}[cls], s._raw))
+    """Class membership by one definition call per element, independent
+    of the column scan behind semigroups.is_subsemigroup_of and of the
+    lemma behind semigroups.in_vsf and in_wsf."""
+    pred = {BSF: in_bsf, VSF: reference_in_vsf, WSF: reference_in_wsf}[cls]
+    return all(map(pred, s._raw))
 
 
 def reference_focused_pairs(s) -> frozenset:

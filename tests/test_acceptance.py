@@ -64,9 +64,9 @@ def test_criterion_02_generator_correctness():
     with criterion(2, "generator-correctness"):
         for n in range(4, 8):
             v = generate(n, [t for _, t in vsf_generators(n)])
-            assert v.elements == enumerate_class(n, VSF, check_closed=False)
+            assert v.elements == enumerate_class(n, VSF)
             w = generate(n, [t for _, t in wsf_generators(n)])
-            assert w.elements == enumerate_class(n, WSF, check_closed=False)
+            assert w.elements == enumerate_class(n, WSF)
 
 
 def test_criterion_03_wsf_formula():

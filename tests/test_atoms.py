@@ -267,6 +267,12 @@ def test_suffix_free_atom_bound_rejects_bad_bases():
         suffix_free_atom_bound(3, {1})
 
 
+def test_suffix_free_atom_bound_rejects_non_int_degree():
+    for n in (4.0, 5.5):
+        with pytest.raises(ValueError, match="int n >= 4"):
+            suffix_free_atom_bound(n, [])
+
+
 def test_suffix_free_atom_bound_rejects_states_outside_the_range():
     for basis in ({7}, {-1}, {1, 2, 3, 9}, {5}):
         with pytest.raises(ValueError, match=r"outside 0\.\.4"):

@@ -32,6 +32,8 @@ from helpers import (
     random_transformation,
     reference_closure,
     reference_focused_pairs,
+    reference_in_vsf,
+    reference_in_wsf,
     reference_is_subsemigroup_of,
 )
 
@@ -55,6 +57,22 @@ def test_predicates_reject_degree_one():
         in_bsf((0,))
 
 
+def test_predicates_reject_an_image_out_of_range():
+    # An image past n-1 would send in_bsf's power loop past the end of t.
+    for pred in (in_bsf, in_vsf, in_wsf):
+        for t in ((1, 7, 2), b"\x01\x07\x02", (1, -1, 2)):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                pred(t)
+
+
+def test_class_conditions_alone_do_not_accept_an_image_out_of_range():
+    # (5, 1, 2) fixes the sink, misses 0 and is injective off the sink,
+    # so the lemma's conditions alone would put it in vsf.
+    for pred in (in_bsf, in_vsf, in_wsf):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            pred((5, 1, 2))
+
+
 def test_bsf_requires_fixed_sink_and_no_zero_image():
     assert not in_bsf((1, 2, 3, 2))       # sink not fixed
     assert not in_bsf((1, 0, 3, 3))       # 0 in the image
@@ -62,9 +80,9 @@ def test_bsf_requires_fixed_sink_and_no_zero_image():
 
 def test_vsf_wsf_within_bsf():
     for n in (3, 4, 5):
-        for t in enumerate_class(n, VSF, check_closed=False):
+        for t in enumerate_class(n, VSF):
             assert in_bsf(t)
-        for t in enumerate_class(n, WSF, check_closed=False):
+        for t in enumerate_class(n, WSF):
             assert in_bsf(t)
 
 
@@ -109,14 +127,15 @@ def _in_bsf_unbounded(t):
 
 def test_predicates_agree_on_bytes_and_tuples_exhaustively():
     # Every transformation of degree 2..6: the predicates read the
-    # closure kernel's bytes as they read tuples, and in_bsf's j <= n
-    # window agrees with the unbounded definition.
+    # closure kernel's bytes as they read tuples, in_bsf's j <= n
+    # window agrees with the unbounded definition, and the lemma forms
+    # of in_vsf and in_wsf agree with bsf plus the class condition.
     for n in range(2, 7):
         for t in product(range(n), repeat=n):
             b = bytes(t)
             assert in_bsf(t) == in_bsf(b) == _in_bsf_unbounded(t), t
-            assert in_vsf(t) == in_vsf(b), t
-            assert in_wsf(t) == in_wsf(b), t
+            assert in_vsf(t) == in_vsf(b) == reference_in_vsf(t), t
+            assert in_wsf(t) == in_wsf(b) == reference_in_wsf(t), t
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +174,13 @@ def test_bsf_cardinalities():
 def test_vsf_cardinalities():
     expected = {4: 13, 5: 73, 6: 501, 7: 4051}
     for n, size in expected.items():
-        assert len(enumerate_class(n, VSF, check_closed=n <= 5)) == size
+        assert len(enumerate_class(n, VSF)) == size
 
 
 def test_wsf_cardinalities():
     expected = {2: 1, 3: 3, 4: 11, 5: 67, 6: 629, 7: 7781}
     for n, size in expected.items():
-        members = enumerate_class(n, WSF, check_closed=n <= 5)
+        members = enumerate_class(n, WSF)
         assert len(members) == size
         assert size == wsf_cardinality(n)
 
@@ -178,19 +197,28 @@ def test_bsf_not_closed_for_n_4():
     assert escapes  # bsf(4) is not a semigroup
 
 
-def test_enumerate_class_rejects_bsf_closure_check():
-    with pytest.raises(ValueError):
-        enumerate_class(4, BSF, check_closed=True)
+def test_enumerate_class_matches_filter_by_oracles():
+    # The sink-fixed, 0-free candidates lose no member: each class is the
+    # n**n filter by its definition, power loop included.
+    oracles = {BSF: _in_bsf_unbounded, VSF: reference_in_vsf,
+               WSF: reference_in_wsf}
+    for n in range(2, 7):
+        maps = list(product(range(n), repeat=n))
+        for cls, oracle in oracles.items():
+            assert enumerate_class(n, cls) == frozenset(
+                Transformation(t) for t in maps if oracle(t)), (n, cls)
 
 
-def test_enumerate_class_closedness_check_catches_escape(monkeypatch):
-    # bsf(4) is not closed; passed off as vsf(4) the check must catch it.
-    monkeypatch.setitem(semigroups._PREDICATE, VSF, in_bsf)
-    with pytest.raises(AssertionError, match="vsf not closed"):
-        enumerate_class(4, VSF, check_closed=True)
-    monkeypatch.setitem(semigroups._PREDICATE, WSF, in_bsf)
-    with pytest.raises(AssertionError, match="wsf not closed"):
-        enumerate_class(4, WSF, check_closed=True)
+def test_vsf_and_wsf_closed_but_bsf_4_not():
+    def escape(n, cls):
+        raw = [bytes(t) for t in enumerate_class(n, cls)]
+        return semigroups._close(n, raw, guard=set(raw))[1]
+
+    for n in range(2, 7):
+        assert escape(n, VSF) is None, n
+        assert escape(n, WSF) is None, n
+    s, t = escape(4, BSF)
+    assert not in_bsf([t[x] for x in s])
 
 
 def test_enumerate_class_budget():
@@ -198,6 +226,17 @@ def test_enumerate_class_budget():
         enumerate_class(9, WSF)
     with pytest.raises(ValueError):
         enumerate_class(4, "xsf")
+
+
+def test_enumerate_class_rejects_non_int_degree():
+    with pytest.raises(ValueError, match="int >= 2"):
+        enumerate_class(4.0, VSF)
+
+
+def test_enumerate_class_rejects_degree_below_two():
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="int >= 2"):
+            enumerate_class(n, BSF)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +263,9 @@ def test_generate_needs_one_name_per_generator():
 def test_generate_matches_enumeration_for_named_generators():
     for n in (2, 3, 4, 5, 6):
         v = generate(n, [t for _, t in vsf_generators(n)])
-        assert v.elements == enumerate_class(n, VSF, check_closed=False)
+        assert v.elements == enumerate_class(n, VSF)
         w = generate(n, [t for _, t in wsf_generators(n)])
-        assert w.elements == enumerate_class(n, WSF, check_closed=False)
+        assert w.elements == enumerate_class(n, WSF)
 
 
 def test_generate_wsf_8_by_closure():
@@ -297,7 +336,7 @@ def test_bytes_readers_leave_elements_unbuilt():
     elements = s.elements
     assert elements is s.elements
     assert all(type(t) is Transformation for t in elements)
-    assert elements == enumerate_class(6, WSF, check_closed=False)
+    assert elements == enumerate_class(6, WSF)
     assert s.sorted_elements() == sorted(elements)
 
 
@@ -307,7 +346,7 @@ def test_semigroup_equality_is_by_degree_and_element_set():
     r = generate(6, gens[::-1])
     assert s.generators != r.generators
     assert s == r and hash(s) == hash(r)
-    given = TransitionSemigroup(6, enumerate_class(6, WSF, check_closed=False))
+    given = TransitionSemigroup(6, enumerate_class(6, WSF))
     assert given == s and hash(given) == hash(s)
     assert s != generate(6, gens[:2])
     one = generate(3, [(1, 1, 2)])
@@ -461,8 +500,8 @@ def test_membership_rejects_unknown_class_and_degree_one():
 
 def test_pair_duality_between_vsf_and_wsf():
     for n in (4, 5, 6, 7):
-        v = TransitionSemigroup(n, enumerate_class(n, VSF, check_closed=False))
-        w = TransitionSemigroup(n, enumerate_class(n, WSF, check_closed=False))
+        v = TransitionSemigroup(n, enumerate_class(n, VSF))
+        w = TransitionSemigroup(n, enumerate_class(n, WSF))
         middles = frozenset(combinations(range(1, n - 1), 2))
         assert colliding_pairs(v) == middles
         assert focused_pairs(v) == frozenset()
@@ -485,6 +524,22 @@ def test_focused_pairs_match_reference():
 
 # ---------------------------------------------------------------------------
 # generating sets
+
+def test_vsf_generators_reject_non_int_degree():
+    with pytest.raises(ValueError, match="int n >= 2"):
+        vsf_generators(4.0)
+
+
+def test_wsf_generators_reject_non_int_degree():
+    with pytest.raises(ValueError, match="int n >= 2"):
+        wsf_generators(4.0)
+
+
+def test_wsf_cardinality_rejects_non_int_degree():
+    for n in (2.5, 4.0, True, 1):
+        with pytest.raises(ValueError, match="int n >= 2"):
+            wsf_cardinality(n)
+
 
 def test_vsf_generators_degenerations():
     assert [name for name, _ in vsf_generators(6)] == ["a", "b", "c1", "c2",
