@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .automata import (
     Dfa, _chunk_tables, _mask, _preimages, _quotient, _subsets, _transpose,
-    quotient_complexity)
-from .semigroups import transition_semigroup
+    minimize, quotient_complexity)
+from .semigroups import semigroup_size
 
 
 def _basis_mask(d: Dfa, basis) -> int:
@@ -211,8 +211,10 @@ def suffix_free_atom_bound(n: int, basis) -> int:
 
 def syntactic_complexity(d: Dfa) -> int:
     """Cardinality of the syntactic (= transition) semigroup of the
-    minimal DFA of d's language."""
-    return len(transition_semigroup(d))
+    minimal DFA of d's language, counted by semigroup_size over its
+    letter maps."""
+    m = minimize(d)
+    return semigroup_size(m.state_count, [m.delta[a] for a in m.alphabet])
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ vsf(n) and wsf(n) are semigroups; the tests check their closure.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .automata import BudgetError, Dfa, Transformation, minimize
 
@@ -26,13 +25,17 @@ BSF = "bsf"
 VSF = "vsf"
 WSF = "wsf"
 
-#: Default cap on closure size: 2**22 admits |wsf(9)| = 8**7 + 7.  A
-#: closure holds each element as a bytes object in a list and a set,
-#: about 140 bytes an element at its peak (wsf(9) peaks near 320 MB),
-#: so a closure that reaches the cap takes some 600 MB.
+#: Default cap on the bytes elements a closure or count holds: 2**22
+#: admits |wsf(9)| = 8**7 + 7.  A closure holds each element in a list
+#: and a set, about 140 bytes an element at its peak (wsf(9) peaks near
+#: 320 MB), so a closure that reaches the cap takes some 600 MB.
+#: semigroup_size holds only the variants of one element per R-class:
+#: 94,587 for wsf(9) and 1,091,671 for wsf(10) (|wsf(10)| = 9**8 + 8).
 MAX_CLOSURE_ELEMENTS = 2 ** 22
 #: Default cap on exhaustive (n-1)**(n-1) enumeration.
 MAX_ENUMERATION_DEGREE = 8
+#: Byte q is q: slices give the identity tails of translate tables.
+_POINTS = bytes(range(256))
 
 
 class TransitionSemigroup:
@@ -117,42 +120,15 @@ class TransitionSemigroup:
         return sorted(self.elements)
 
 
-@dataclass(frozen=True)
-class ZeroPath:
-    """The orbit 0, 0t, 0t**2, ... of a transformation, up to the first
-    repetition."""
-
-    states: tuple
-    period: int
-
-    @property
-    def aperiodic(self) -> bool:
-        return self.period == 1
-
-    @property
-    def end(self) -> int:
-        return self.states[-1]
-
-
-def zero_path(t: Transformation) -> ZeroPath:
-    seen = {0: 0}
-    path = [0]
-    q = 0
-    while True:
-        q = t[q]
-        if q in seen:
-            return ZeroPath(tuple(path), len(path) - seen[q])
-        seen[q] = len(path)
-        path.append(q)
-
-
 def _sink_fixed_zero_free(t) -> bool:
     """The condition all three classes start from: the sink n-1 is fixed
-    and 0 is not an image.  Raises ValueError for degree < 2 or an image
-    outside 0..n-1."""
+    and 0 is not an image.  Raises ValueError for degree < 2, an image
+    that is not an int, or one outside 0..n-1."""
     n = len(t)
     if n < 2:
         raise ValueError("degree must be >= 2")
+    if not {int}.issuperset(map(type, t)):
+        raise ValueError(f"images must be int state numbers: {tuple(t)}")
     if min(t) < 0 or max(t) >= n:
         raise ValueError(f"{tuple(t)} has an image outside 0..{n - 1}")
     return t[n - 1] == n - 1 and 0 not in t
@@ -209,14 +185,14 @@ _PREDICATE = {BSF: in_bsf, VSF: in_vsf, WSF: in_wsf}
 def _close(degree: int, gens, guard=None, max_elements: int = MAX_CLOSURE_ELEMENTS):
     """Closure of bytes-encoded transformations (entry q is q's image).
 
-    t * g (t first) is t.translate(g + bytes(range(degree, 256))), found
+    t * g (t first) is t.translate(g + _POINTS[degree:]), found
     in BFS order with generators in the given order, as Froidure and Pin
     (1997) enumerate the right Cayley graph.  Returns (elements, escape):
     the elements in discovery order, and the first (t, g) with t * g
     outside guard (a set holding the generators), else None.  More than
     max_elements elements raise BudgetError.
     """
-    tail = bytes(range(degree, 256))
+    tail = _POINTS[degree:]
     tables = [g + tail for g in gens]
     queue = list(dict.fromkeys(gens))
     seen = set(queue)
@@ -233,6 +209,24 @@ def _close(degree: int, gens, guard=None, max_elements: int = MAX_CLOSURE_ELEMEN
     return queue, None
 
 
+def _generator_bytes(degree: int, generators) -> tuple:
+    """The generators as Transformations of the given degree and as bytes.
+
+    Raises ValueError unless degree is an int >= 1 that every generator
+    has, and BudgetError past the byte encoding's degree limit of 256.
+    """
+    if type(degree) is not int or degree < 1:
+        raise ValueError(f"degree must be an int >= 1, got {degree!r}")
+    gens = [Transformation(g) for g in generators]
+    for g in gens:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} != {degree}")
+    if degree > 256:
+        raise BudgetError(f"closure at degree {degree} exceeds the byte "
+                          "encoding's limit (max 256)")
+    return gens, [bytes(g) for g in gens]
+
+
 def generate(degree: int, generators, names=None,
              max_elements: int = MAX_CLOSURE_ELEMENTS) -> TransitionSemigroup:
     """Smallest composition-closed set containing the generators.
@@ -243,22 +237,13 @@ def generate(degree: int, generators, names=None,
     lies in 0..degree-1.  The byte encoding caps the degree at 256.  More
     than max_elements elements raise BudgetError.
     """
-    if type(degree) is not int or degree < 1:
-        raise ValueError(f"degree must be an int >= 1, got {degree!r}")
-    gens = [Transformation(g) for g in generators]
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} != {degree}")
+    gens, raw = _generator_bytes(degree, generators)
     if names is not None:
         names = list(names)
         if len(names) != len(gens):
             raise ValueError(f"{len(names)} names for {len(gens)} generators")
-    if degree > 256:
-        raise BudgetError(f"closure at degree {degree} exceeds the byte "
-                          "encoding's limit (max 256)")
-    elements, _ = _close(degree, [bytes(g) for g in gens],
-                         max_elements=max_elements)
-    if b"".join(elements).translate(None, bytes(range(degree))):
+    elements, _ = _close(degree, raw, max_elements=max_elements)
+    if b"".join(elements).translate(None, _POINTS[:degree]):
         raise ValueError(f"closure produced an image outside 0..{degree - 1}")
     named = None
     if names is not None:
@@ -266,6 +251,100 @@ def generate(degree: int, generators, names=None,
     elif gens:
         named = tuple([(f"g{i}", g) for i, g in enumerate(gens)])
     return TransitionSemigroup._of_bytes(degree, elements, named)
+
+
+def semigroup_size(degree: int, generators) -> int:
+    """The number of elements of the semigroup the generators generate,
+    counted by R-classes without listing the elements.
+
+    Elements are bytes, as in _close, and t * g (t first) maps the image
+    X of t to Xg.  The images form the orbit of the generators' images
+    under X -> Xg.  Each strongly connected component of the orbit has a
+    root X, and the elements s with Xs = X permute X as its
+    Schützenberger group G(X), which the component's Schreier generators
+    generate (Linton, Pfeiffer, Robertson and Ruškuc, Math. Z. 228,
+    1998).  An R-class whose image lies in X's component holds
+    |component| * |G(X)| elements.  R is a left congruence, so
+    multiplying one element of each R-class on the left by every
+    generator reaches every R-class.  Composing a candidate with a
+    bijection from its image onto X that the semigroup, with an identity
+    adjoined, induces keeps it in its R-class; it lies in a known R-class
+    iff the result is one of the G(X)-variants stored for that class.
+    More than MAX_CLOSURE_ELEMENTS stored variants raise BudgetError.
+    """
+    _, gens = _generator_bytes(degree, generators)
+    tail = _POINTS[degree:]
+    tables = [g + tail for g in gens]
+    # The orbit of images, each as the bytes of its points, and the
+    # edges X -> Xg that keep the rank: no other edge stays inside a
+    # component.
+    points = list(dict.fromkeys([bytes(frozenset(g)) for g in gens]))
+    node = {frozenset(x): i for i, x in enumerate(points)}
+    edges = []
+    for x in points:
+        out = []
+        for table in tables:
+            y = frozenset(x.translate(table))
+            if y not in node:
+                node[y] = len(points)
+                points.append(bytes(y))
+            if len(y) == len(x):
+                out.append((table, node[y]))
+        edges.append(out)
+    # reach[i] has bit j set iff those edges lead from image i to j.
+    reach = [1 << i for i in range(len(points))]
+    changed = True
+    while changed:
+        changed = False
+        for i in reversed(range(len(points))):
+            bits = reach[i]
+            for _, j in edges[i]:
+                bits |= reach[j]
+            changed |= bits != reach[i]
+            reach[i] = bits
+    # A member's image maps onto its root X = x[0], x[1], ... as the
+    # indices 0, 1, ..., so G(X) acts on them as permutations of
+    # 0..|X|-1 and composes by translate, as elements do.  back: image ->
+    # (table onto the indices, component size, G(X) as translate tables,
+    # the variants stored for X).
+    back = {}
+    for r, x in enumerate(points):
+        if frozenset(x) in back:
+            continue
+        index = _POINTS[:len(x)]
+        # onto[j] lists the images of x[0], x[1], ... in member j's image.
+        onto, inverse = {r: x}, {r: bytes.maketrans(x, index)}
+        members = [r]
+        sigmas = {index}
+        for i in members:
+            for table, j in edges[i]:
+                if reach[j] >> r & 1:
+                    w = onto[i].translate(table)
+                    if j in onto:
+                        sigmas.add(w.translate(inverse[j]))
+                    else:
+                        onto[j], inverse[j] = w, bytes.maketrans(w, index)
+                        members.append(j)
+        rest = _POINTS[len(x):]
+        group = [s + rest for s in _close(len(x), sigmas)[0]]
+        root = (len(members), group, set())
+        for j in members:
+            back[frozenset(points[j])] = (inverse[j],) + root
+    reps, size, stored = [], 0, 0
+    for z in chain(gens, (a.translate(y) for y in reps for a in gens)):
+        inverse, members, group, variants = back[frozenset(z)]
+        key = z.translate(inverse)
+        if key in variants:
+            continue
+        variants.update([key.translate(s) for s in group])
+        stored += len(group)
+        if stored > MAX_CLOSURE_ELEMENTS:
+            raise BudgetError("semigroup_size stored more than "
+                              f"MAX_CLOSURE_ELEMENTS={MAX_CLOSURE_ELEMENTS} "
+                              "elements")
+        reps.append(z + tail)
+        size += members * len(group)
+    return size
 
 
 def _sink_last(d: Dfa) -> Dfa:

@@ -48,8 +48,8 @@ def d5(n: int, dialect: str = None) -> Dfa:
     A dialect string such as "a,b,-" reassigns (or drops) the three
     roles in order.
     """
-    if n < 6:
-        raise ValueError("d5 is defined for n >= 6")
+    if type(n) is not int or n < 6:
+        raise ValueError(f"d5 is defined for int n >= 6, not n = {n!r}")
     roles = _d5_roles(n)
     base = Dfa(n, ("a", "b", "c"), roles, 0, {1})
     if dialect is None:

@@ -3,6 +3,7 @@ reference implementations used as oracles."""
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -34,6 +35,35 @@ def reference_closure(generators) -> frozenset:
                 seen.add(u)
                 queue.append(u)
     return frozenset(seen)
+
+
+@dataclass(frozen=True)
+class ZeroPath:
+    """The orbit 0, 0t, 0t**2, ... of a transformation, up to the first
+    repetition."""
+
+    states: tuple
+    period: int
+
+    @property
+    def aperiodic(self) -> bool:
+        return self.period == 1
+
+    @property
+    def end(self) -> int:
+        return self.states[-1]
+
+
+def zero_path(t: Transformation) -> ZeroPath:
+    seen = {0: 0}
+    path = [0]
+    q = 0
+    while True:
+        q = t[q]
+        if q in seen:
+            return ZeroPath(tuple(path), len(path) - seen[q])
+        seen[q] = len(path)
+        path.append(q)
 
 
 def reference_in_vsf(t) -> bool:

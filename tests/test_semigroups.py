@@ -19,11 +19,11 @@ from suffixfree.semigroups import (
     in_vsf,
     in_wsf,
     is_subsemigroup_of,
+    semigroup_size,
     transition_semigroup,
     vsf_generators,
     wsf_cardinality,
     wsf_generators,
-    zero_path,
 )
 from suffixfree.verify import star_side_semigroup
 from suffixfree.witnesses import d5, d6
@@ -35,6 +35,7 @@ from helpers import (
     reference_in_vsf,
     reference_in_wsf,
     reference_is_subsemigroup_of,
+    zero_path,
 )
 
 
@@ -62,6 +63,14 @@ def test_predicates_reject_an_image_out_of_range():
     for pred in (in_bsf, in_vsf, in_wsf):
         for t in ((1, 7, 2), b"\x01\x07\x02", (1, -1, 2)):
             with pytest.raises(ValueError, match="outside 0..2"):
+                pred(t)
+
+
+def test_predicates_reject_non_int_images():
+    # in_vsf((1.0, 1)) and in_wsf((2.5, 2, 2)) returned True.
+    for pred in (in_bsf, in_vsf, in_wsf):
+        for t in ((1.0, 1), (2.5, 2, 2), (1, True, 2)):
+            with pytest.raises(ValueError, match="int state numbers"):
                 pred(t)
 
 
@@ -139,7 +148,7 @@ def test_predicates_agree_on_bytes_and_tuples_exhaustively():
 
 
 # ---------------------------------------------------------------------------
-# zero_path
+# zero_path (a test helper)
 
 def test_zero_path_aperiodic():
     p = zero_path(Transformation((1, 2, 2)))
@@ -379,6 +388,8 @@ def test_semigroup_degree_must_be_an_int_of_at_least_one():
             TransitionSemigroup(degree, elements)
         with pytest.raises(ValueError, match="degree must be an int >= 1"):
             generate(degree, elements)
+        with pytest.raises(ValueError, match="degree must be an int >= 1"):
+            semigroup_size(degree, elements)
 
 
 def test_transition_semigroup_of_witnesses():
@@ -402,6 +413,71 @@ def test_sink_last_renumbering():
     # no rejecting sink: returned unchanged
     total = Dfa(2, ("a",), {"a": (1, 0)}, 0, {0})
     assert _sink_last(total) is total
+
+
+# ---------------------------------------------------------------------------
+# semigroup_size: the count by R-classes against the closure
+
+def test_semigroup_size_matches_reference_closure_on_random_sets():
+    rng = random.Random(1601)
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        gens = [random_transformation(rng, n) for _ in range(rng.randint(1, 3))]
+        assert semigroup_size(n, gens) == len(reference_closure(gens)), (n, gens)
+
+
+def test_semigroup_size_matches_reference_closure_on_small_bsf_4_subsets():
+    members = sorted(enumerate_class(4, BSF))
+    subsets = [gens for k in (1, 2, 3) for gens in combinations(members, k)]
+    assert len(subsets) == 575
+    for gens in subsets:
+        assert semigroup_size(4, gens) == len(reference_closure(gens)), gens
+
+
+def test_semigroup_size_matches_closure_of_classes_and_witnesses():
+    for n in range(2, 9):
+        for gens in (vsf_generators, wsf_generators):
+            maps = [t for _, t in gens(n)]
+            assert semigroup_size(n, maps) == len(generate(n, maps)), (n, gens)
+        for w in ([d6] if n >= 4 else []) + ([d5] if n >= 6 else []):
+            m = minimize(w(n))
+            maps = [m.delta[a] for a in m.alphabet]
+            assert semigroup_size(m.state_count, maps) == len(
+                transition_semigroup(w(n))), (w, n)
+
+
+def test_semigroup_size_of_an_r_class_with_two_elements_of_one_image():
+    # x = (0,0,1) and x * y = (1,1,0) share kernel {0,1},{2} and image
+    # {0,1}: they are R-related but not L-related, and one R-class counts
+    # both through the swap that y induces on {0,1}.
+    x, y = (0, 0, 1), (1, 0, 2)
+    assert generate(3, [x, y]).elements >= {(0, 0, 1), (1, 1, 0)}
+    assert semigroup_size(3, [x, y]) == len(generate(3, [x, y])) == 6
+
+
+def test_semigroup_size_needs_the_schutzenberger_groups():
+    # Here the left walk reaches only some elements of an H-class: a
+    # count that took every G(X) as trivial would find 14 of the 16.
+    gens = [(0, 0, 1, 3), (1, 0, 3, 2)]
+    assert semigroup_size(4, gens) == len(reference_closure(gens)) == 16
+
+
+def test_semigroup_size_of_no_generators_and_degree_limits():
+    assert semigroup_size(4, []) == 0
+    assert semigroup_size(1, [(0,)]) == 1
+    assert semigroup_size(256, [Transformation.identity(256)]) == 1
+    with pytest.raises(BudgetError, match="256"):
+        semigroup_size(257, [Transformation.identity(257)])
+    with pytest.raises(ValueError, match="generator degree 3 != 4"):
+        semigroup_size(4, [(1, 1, 2)])
+
+
+def test_semigroup_size_budget(monkeypatch):
+    gens = [t for _, t in vsf_generators(5)]
+    assert semigroup_size(5, gens) == 73
+    monkeypatch.setattr(semigroups, "MAX_CLOSURE_ELEMENTS", 10)
+    with pytest.raises(BudgetError, match="MAX_CLOSURE_ELEMENTS=10"):
+        semigroup_size(5, gens)
 
 
 # ---------------------------------------------------------------------------

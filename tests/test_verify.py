@@ -2,9 +2,11 @@ from itertools import combinations
 
 import pytest
 
+from suffixfree import semigroups
 from suffixfree.atoms import atoms
 from suffixfree.automata import BudgetError
 from suffixfree.langops import BooleanOp
+from suffixfree.semigroups import wsf_cardinality
 from suffixfree.verify import (
     ATOM_TABLE,
     ComplexityReport,
@@ -25,6 +27,8 @@ from suffixfree.verify import (
     verify_product_binary,
     verify_semigroup_classes,
     verify_star,
+    verify_syntactic,
+    verify_wsf_size,
 )
 from suffixfree.witnesses import d6
 
@@ -143,7 +147,33 @@ def test_atom_table_rejects_unknown_column():
 
 
 # ---------------------------------------------------------------------------
-# semigroup class checks
+# semigroup sizes and class checks
+
+def test_syntactic_and_wsf_size_meet_their_bounds_at_n9():
+    # Counted by R-classes, about 0.1 s each; listing the 2,097,159
+    # elements took 3.5 s and 320 MB.
+    for r in (verify_syntactic(9), verify_wsf_size(9)):
+        assert r.met and r.asserted, r.measure
+        assert r.computed == syntactic_bound(9) == 2097159
+
+
+def test_verify_all_closes_wsf_n_once_per_n(monkeypatch):
+    # Only the class checks list wsf(n); syntactic and wsf-size count it.
+    # A closure of degree >= 4 the size of wsf(n) is a copy of wsf(n):
+    # no Schützenberger group that semigroup_size closes has that order.
+    close = semigroups._close
+    closed = []
+
+    def counted(degree, gens, **kw):
+        elements, escape = close(degree, gens, **kw)
+        closed.append((degree, len(elements)))
+        return elements, escape
+
+    monkeypatch.setattr(semigroups, "_close", counted)
+    verify_all()
+    assert sorted(n for n, size in closed
+                  if n >= 4 and size == wsf_cardinality(n)) == [4, 5, 6, 7]
+
 
 def test_semigroup_classes_hold_for_small_n():
     for n in (4, 5, 6):

@@ -36,6 +36,13 @@ def test_d5_rejects_small_n():
         d5(5)
 
 
+def test_d5_rejects_non_int_n():
+    # d5(6.0) escaped as a TypeError while d6(6.0) raised ValueError.
+    for n in (6.0, True):
+        with pytest.raises(ValueError, match="int n >= 6"):
+            d5(n)
+
+
 def test_d5_dialects():
     assert d5(6, "a,b,-").alphabet == ("a", "b")
     swapped = d5(6, "b,c,a")
@@ -88,6 +95,8 @@ def test_d6_dialect_matches_apply_dialect(dialect):
 def test_d6_rejects_bad_input():
     with pytest.raises(ValueError):
         d6(3)
+    with pytest.raises(ValueError):
+        d6(6.0)
     with pytest.raises(ValueError):
         d6(5, "a,b,c,d")
     with pytest.raises(ValueError):
