@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from functools import reduce
 from itertools import chain, combinations, product
+from math import factorial
 
 from .automata import BudgetError, Dfa, Transformation, minimize
 
@@ -29,11 +30,19 @@ WSF = "wsf"
 #: admits |wsf(9)| = 8**7 + 7.  A closure holds each element in a list
 #: and a set, about 140 bytes an element at its peak (wsf(9) peaks near
 #: 320 MB), so a closure that reaches the cap takes some 600 MB.
-#: semigroup_size holds only the variants of one element per R-class:
-#: 94,587 for wsf(9) and 1,091,671 for wsf(10) (|wsf(10)| = 9**8 + 8).
+#: semigroup_size charges its orbit of images, its Schützenberger groups
+#: and the variants of one element per R-class against the same cap:
+#: 114,377 elements for wsf(9) and 1,234,469 for wsf(10) (|wsf(10)| =
+#: 9**8 + 8).
 MAX_CLOSURE_ELEMENTS = 2 ** 22
 #: Default cap on exhaustive (n-1)**(n-1) enumeration.
 MAX_ENUMERATION_DEGREE = 8
+#: What semigroup_size holds, in elements of a closure (about 90 bytes
+#: of objects each at its peak, by tracemalloc): an orbit point, its
+#: image as bytes and as a frozenset, a 256-byte table and its edges,
+#: about 1.4 KB; an element of a Schützenberger group, a 256-byte table.
+_ORBIT_POINT_WEIGHT = 16
+_GROUP_WEIGHT = 3
 #: Byte q is q: slices give the identity tails of translate tables.
 _POINTS = bytes(range(256))
 
@@ -253,6 +262,105 @@ def generate(degree: int, generators, names=None,
     return TransitionSemigroup._of_bytes(degree, elements, named)
 
 
+def _components(nodes, edges) -> dict:
+    """Strongly connected components by Tarjan's algorithm, without
+    recursion.  edges[v] holds a pair (_, w) for each edge v -> w, and
+    each such w is in nodes.  Returns a dict from each node to the node
+    that roots its component."""
+    number, low, label = {}, {}, {}
+    stack = []
+    for start in nodes:
+        if start in number:
+            continue
+        number[start] = low[start] = len(number)
+        stack.append(start)
+        path = [(start, iter(edges[start]))]
+        while path:
+            v, out = path[-1]
+            for _, w in out:
+                if w not in number:
+                    number[w] = low[w] = len(number)
+                    stack.append(w)
+                    path.append((w, iter(edges[w])))
+                    break
+                if w not in label and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    w = None
+                    while w != v:
+                        w = stack.pop()
+                        label[w] = v
+    return label
+
+
+def _group_exceeds(gens, bound: int) -> bool:
+    """Whether the permutation group that gens generate has more than
+    bound elements, by the Schreier-Sims algorithm (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, 4.4.2).  Each
+    permutation is a 256-byte translate table, as in _close.  The
+    product of the orbit sizes found so far never exceeds the order, so
+    the search stops once it passes bound."""
+    base, strong, orbits = [], [], []
+
+    def strip(g):
+        for i, b in enumerate(base):
+            u = orbits[i].get(g[b])
+            if u is None:
+                return g, i
+            g = g.translate(bytes.maketrans(u, _POINTS))
+        return g, len(base)
+
+    def add(h, first, last):
+        # h, which fixes base[:last], joins the strong generators of
+        # levels first..last; each level's orbit is found again, each
+        # point with a product of generators that takes the base point
+        # to it.
+        if last == len(base):
+            base.append(next(p for p, q in enumerate(h) if p != q))
+            strong.append([])
+            orbits.append(None)
+        for i in range(first, last + 1):
+            strong[i].append(h)
+            orbits[i] = found = {base[i]: _POINTS}
+            queue = [base[i]]
+            for p in queue:
+                for s in strong[i]:
+                    if s[p] not in found:
+                        found[s[p]] = found[p].translate(s)
+                        queue.append(s[p])
+        return reduce(operator.mul, map(len, orbits), 1) > bound
+
+    def residue(i):
+        # A Schreier generator of level i that does not strip to the
+        # identity, stripped, with the level it stopped at.
+        for p, u in orbits[i].items():
+            for s in strong[i]:
+                back = bytes.maketrans(orbits[i][s[p]], _POINTS)
+                h, j = strip(u.translate(s).translate(back))
+                if h != _POINTS:
+                    return h, j
+        return None
+
+    for g in gens:
+        h, j = strip(g)
+        if h != _POINTS and add(h, 0, j):
+            return True
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+        elif add(found[0], i + 1, found[1]):
+            return True
+        else:
+            i = found[1]
+    return reduce(operator.mul, map(len, orbits), 1) > bound
+
+
 def semigroup_size(degree: int, generators) -> int:
     """The number of elements of the semigroup the generators generate,
     counted by R-classes without listing the elements.
@@ -270,78 +378,100 @@ def semigroup_size(degree: int, generators) -> int:
     bijection from its image onto X that the semigroup, with an identity
     adjoined, induces keeps it in its R-class; it lies in a known R-class
     iff the result is one of the G(X)-variants stored for that class.
-    More than MAX_CLOSURE_ELEMENTS stored variants raise BudgetError.
+
+    What the count holds is charged, in elements, against
+    MAX_CLOSURE_ELEMENTS before it is built: _ORBIT_POINT_WEIGHT for
+    each orbit point, and for each element of each G(X) _GROUP_WEIGHT
+    for its table and one for the variants of each R-class that stores
+    them.  Every component holds the image of some element, so each
+    G(X) is stored at least once and is charged that with its tables.
+    The orbit is met rank by rank from the highest, and each rank's
+    groups are charged before a lower rank is met, so a count past the
+    limit raises BudgetError early.
     """
     _, gens = _generator_bytes(degree, generators)
+    budget = MAX_CLOSURE_ELEMENTS
+    over = BudgetError(f"semigroup_size would hold more than "
+                       f"MAX_CLOSURE_ELEMENTS={budget} elements")
+    held = 0
     tail = _POINTS[degree:]
     tables = [g + tail for g in gens]
-    # The orbit of images, each as the bytes of its points, and the
-    # edges X -> Xg that keep the rank: no other edge stays inside a
-    # component.
-    points = list(dict.fromkeys([bytes(frozenset(g)) for g in gens]))
-    node = {frozenset(x): i for i, x in enumerate(points)}
-    edges = []
-    for x in points:
-        out = []
-        for table in tables:
-            y = frozenset(x.translate(table))
-            if y not in node:
-                node[y] = len(points)
-                points.append(bytes(y))
-            if len(y) == len(x):
-                out.append((table, node[y]))
-        edges.append(out)
-    # reach[i] has bit j set iff those edges lead from image i to j.
-    reach = [1 << i for i in range(len(points))]
-    changed = True
-    while changed:
-        changed = False
-        for i in reversed(range(len(points))):
-            bits = reach[i]
-            for _, j in edges[i]:
-                bits |= reach[j]
-            changed |= bits != reach[i]
-            reach[i] = bits
+    # The images, each as the bytes of its points, and the edges
+    # X -> Xg that keep the rank: no other edge stays inside a
+    # component.  An image's rank is its size, and no edge raises it,
+    # so a rank's images are all met once the higher ranks are done.
+    points, node = [], {}
+    ranks = [[] for _ in range(degree + 1)]
+    for y in map(frozenset, gens):
+        if y not in node:
+            node[y] = len(points)
+            ranks[len(y)].append(len(points))
+            points.append(bytes(y))
     # A member's image maps onto its root X = x[0], x[1], ... as the
     # indices 0, 1, ..., so G(X) acts on them as permutations of
-    # 0..|X|-1 and composes by translate, as elements do.  back: image ->
-    # (table onto the indices, component size, G(X) as translate tables,
-    # the variants stored for X).
+    # 0..|X|-1 and composes by translate, as elements do.  back[j]:
+    # (table from image j onto the indices, component size, G(X) as
+    # translate tables, the variants stored for X).
     back = {}
-    for r, x in enumerate(points):
-        if frozenset(x) in back:
-            continue
-        index = _POINTS[:len(x)]
-        # onto[j] lists the images of x[0], x[1], ... in member j's image.
-        onto, inverse = {r: x}, {r: bytes.maketrans(x, index)}
-        members = [r]
-        sigmas = {index}
-        for i in members:
-            for table, j in edges[i]:
-                if reach[j] >> r & 1:
-                    w = onto[i].translate(table)
-                    if j in onto:
-                        sigmas.add(w.translate(inverse[j]))
-                    else:
-                        onto[j], inverse[j] = w, bytes.maketrans(w, index)
-                        members.append(j)
-        rest = _POINTS[len(x):]
-        group = [s + rest for s in _close(len(x), sigmas)[0]]
-        root = (len(members), group, set())
-        for j in members:
-            back[frozenset(points[j])] = (inverse[j],) + root
-    reps, size, stored = [], 0, 0
+    for level in reversed(ranks):
+        edges = {}
+        for i in level:
+            held += _ORBIT_POINT_WEIGHT
+            if held > budget:
+                raise over
+            x = points[i]
+            out = []
+            for table in tables:
+                y = frozenset(x.translate(table))
+                if y not in node:
+                    node[y] = len(points)
+                    ranks[len(y)].append(len(points))
+                    points.append(bytes(y))
+                if len(y) == len(x):
+                    out.append((table, node[y]))
+            edges[i] = out
+        label = _components(level, edges)
+        for r in level:
+            if r in back:
+                continue
+            x = points[r]
+            index, rest = _POINTS[:len(x)], _POINTS[len(x):]
+            # onto[j] lists the images of x[0], x[1], ... in member j's
+            # image.
+            onto, inverse = {r: x}, {r: bytes.maketrans(x, index)}
+            members = [r]
+            sigmas = {index}
+            for i in members:
+                for table, j in edges[i]:
+                    if label[j] == label[r]:
+                        w = onto[i].translate(table)
+                        if j in onto:
+                            sigmas.add(w.translate(inverse[j]))
+                        else:
+                            onto[j], inverse[j] = w, bytes.maketrans(w, index)
+                            members.append(j)
+            # |G(X)| <= |X|!, and the listing is checked first where
+            # that does not keep it in the budget.
+            room = (budget - held) // (_GROUP_WEIGHT + 1)
+            if factorial(len(x)) > room and _group_exceeds(
+                    [s + rest for s in sigmas], room):
+                raise over
+            group = [s + rest for s in _close(len(x), sigmas)[0]]
+            held += (_GROUP_WEIGHT + 1) * len(group)
+            root = (len(members), group, set())
+            for j in members:
+                back[j] = (inverse[j],) + root
+    reps, size = [], 0
     for z in chain(gens, (a.translate(y) for y in reps for a in gens)):
-        inverse, members, group, variants = back[frozenset(z)]
+        inverse, members, group, variants = back[node[frozenset(z)]]
         key = z.translate(inverse)
         if key in variants:
             continue
+        if variants:  # the first R-class's variants came with G(X)
+            held += len(group)
+            if held > budget:
+                raise over
         variants.update([key.translate(s) for s in group])
-        stored += len(group)
-        if stored > MAX_CLOSURE_ELEMENTS:
-            raise BudgetError("semigroup_size stored more than "
-                              f"MAX_CLOSURE_ELEMENTS={MAX_CLOSURE_ELEMENTS} "
-                              "elements")
         reps.append(z + tail)
         size += members * len(group)
     return size

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -478,6 +480,59 @@ def test_semigroup_size_budget(monkeypatch):
     monkeypatch.setattr(semigroups, "MAX_CLOSURE_ELEMENTS", 10)
     with pytest.raises(BudgetError, match="MAX_CLOSURE_ELEMENTS=10"):
         semigroup_size(5, gens)
+
+
+def test_semigroup_size_under_every_budget(monkeypatch):
+    # Small budgets stop the count in the orbit, at a group or at an
+    # R-class's variants; from some budget on it is whole.
+    gens = [t for _, t in wsf_generators(6)]
+    counts = []
+    for budget in range(600):
+        monkeypatch.setattr(semigroups, "MAX_CLOSURE_ELEMENTS", budget)
+        try:
+            counts.append(semigroup_size(6, gens))
+        except BudgetError:
+            counts.append(None)
+    whole = counts.index(wsf_cardinality(6))
+    assert counts == [None] * whole + [629] * (600 - whole)
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_semigroup_size_past_the_budget_fails_before_building(n):
+    # wsf(12)'s top Schützenberger group is S_10, 3,628,800 elements;
+    # wsf(20)'s orbit has 2**18 images and its top group is S_18.
+    gens = [t for _, t in wsf_generators(n)]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError, match="MAX_CLOSURE_ELEMENTS"):
+            semigroup_size(n, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2
+    assert peak < 10 ** 7
+
+
+def test_group_exceeds_matches_the_closure_of_random_permutations():
+    rng = random.Random(1602)
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        perms = [bytes(rng.sample(range(k), k)) for _ in range(rng.randint(0, 3))]
+        order = len(semigroups._close(k, [bytes(range(k))] + perms)[0])
+        tables = [p + semigroups._POINTS[k:] for p in perms]
+        assert semigroups._group_exceeds(tables, order - 1), (k, perms)
+        assert not semigroups._group_exceeds(tables, order), (k, perms)
+
+
+def test_group_exceeds_stops_early_on_a_large_symmetric_group():
+    # S_255 from a 255-cycle and a transposition: the first orbits
+    # already pass the bound.
+    cycle = bytes([*range(1, 255), 0, 255])
+    swap = bytes([1, 0, *range(2, 256)])
+    start = time.perf_counter()
+    assert semigroups._group_exceeds([cycle, swap], 2 ** 22)
+    assert time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------------------
