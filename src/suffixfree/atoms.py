@@ -1,7 +1,6 @@
-"""Atoms of a regular language: the atom DFA over disjoint subset
-pairs, atom enumeration by one reversed subset construction, atom
-quotient complexities, and the exact upper-bound formula for atoms of
-suffix-free languages.
+"""Atoms of a regular language: atom enumeration by one reversed subset
+construction, atom quotient complexities over disjoint subset pairs, and
+the exact upper-bound formula for atoms of suffix-free languages.
 
 An atom is a non-empty intersection of some quotients (indexed by the
 basis S) with the complements of all the others.  Atoms partition
@@ -14,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .automata import (
-    Dfa, _chunk_tables, _mask, _preimages, _quotient, _subsets, _transpose,
-    minimize, quotient_complexity)
+    Dfa, _chunk_tables, _mask, _preimages, _subsets, _transpose, minimize,
+    quotient_complexity)
 from .semigroups import semigroup_size
 
 
@@ -30,59 +29,6 @@ def _atom_bases(d: Dfa) -> list:
     """The atom bases of d as masks, in the order one reversed subset
     construction from the finals reaches them (see atoms)."""
     return _subsets(_mask(d.finals), _preimages(d))[0]
-
-
-def _atom_pairs(d: Dfa, basis) -> tuple:
-    """Atom DFA before minimization, over disjoint subset pairs (X, Y).
-
-    X tracks the images of the basis and Y those of its complement,
-    both as int bitmasks packed into one key Y << n | X.  A pair whose
-    parts collide goes to the sink, kept as the pair (Q, Q), which every
-    letter maps to itself.  (X, Y) is final when X lies inside d.finals
-    and Y misses it.  States are numbered in BFS discovery order with
-    letters in alphabet order.  Returns one successor row per letter and
-    a finality flag per state.
-    """
-    n = d.state_count
-    full = (1 << n) - 1
-    sink = full << n | full
-    # X and Y step through the subset kernel's tables: one lookup per
-    # chunk gives a part's images under every letter, n bits apart.
-    low, chunks = _chunk_tables([[1 << r for r in d.delta[a]] for a in d.alphabet])
-    b = _basis_mask(d, basis)
-    index = {(full ^ b) << n | b: 0}
-    order = list(index)
-    rows = [[] for _ in d.alphabet]
-    for state in order:
-        x, y = state & full, state >> n
-        xs = ys = 0
-        for shift, chunk in chunks:
-            xs |= chunk[x >> shift & low]
-            ys |= chunk[y >> shift & low]
-        for row in rows:
-            xa, ya = xs & full, ys & full
-            xs >>= n
-            ys >>= n
-            nxt = sink if xa & ya else ya << n | xa
-            i = index.get(nxt)
-            if i is None:
-                i = index[nxt] = len(order)
-                order.append(nxt)
-            row.append(i)
-    f = _mask(d.finals)
-    return rows, [not s & full & ~f and not s >> n & f for s in order]
-
-
-def atom_dfa(d: Dfa, basis) -> Dfa:
-    """Minimal DFA of the atomic intersection with the given basis."""
-    rows, final = _atom_pairs(d, basis)
-    return _quotient(d.alphabet, rows, final, final)
-
-
-def is_atom(d: Dfa, basis) -> bool:
-    """Non-emptiness of the atomic intersection, by reachability of a
-    final state in the raw construction."""
-    return any(_atom_pairs(d, basis)[1])
 
 
 def atoms(d: Dfa) -> frozenset:
@@ -102,18 +48,16 @@ def _atom_complexities(d: Dfa) -> tuple:
     """The masks of d's atom bases (see _atom_bases) and the function
     mask -> complexity of its atom, the work that depends on d done once.
 
-    The pair (X, Y) of the atom DFA (see _atom_pairs) accepts the union
-    of the atoms whose basis holds X and misses Y.  Atoms are non-empty
-    and disjoint, so two pairs are equivalent exactly when they admit
-    the same atoms, and the quotient complexity is the number of
-    distinct admitted sets over the reachable pairs: neither transition
-    rows nor refinement are needed.  The sink admits no atom.
+    The atom DFA of basis S runs on disjoint subset pairs (X, Y), X the
+    images of S and Y those of its complement, packed into one key
+    Y << n | X; a pair whose parts collide goes to the sink, kept as
+    (Q, Q).  The pair (X, Y) accepts the union of the atoms whose basis
+    holds X and misses Y.  Atoms are non-empty and disjoint, so two
+    pairs are equivalent exactly when they admit the same atoms, and the
+    quotient complexity is the number of distinct admitted sets over the
+    reachable pairs: neither transition rows nor refinement are needed.
+    The sink admits no atom.
     """
-    # This count walk and atom_dfa's row walk stay two loops.  One walk
-    # that also built rows cut the atoms benchmark from 440 to 400 jobs/s,
-    # and building atom_dfa from this walk's classes made atom_dfa of a
-    # small atom 2-3x slower (basis {0} of d6(6..9): 91-124 us to 212-436
-    # us), both measured on a shared 2-vCPU VM.
     n = d.state_count
     bases = _atom_bases(d)
     full = (1 << n) - 1

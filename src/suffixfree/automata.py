@@ -390,14 +390,3 @@ def minimize(d: Dfa) -> Dfa:
 def quotient_complexity(d: Dfa) -> int:
     """Number of states of the minimal DFA (= number of left quotients)."""
     return _refine(*_rows(d))[1]
-
-
-def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
-    """True iff the minimal DFAs are identical up to state renumbering.
-
-    An alphabet mismatch (as a set) yields False, not an error.
-    """
-    if set(d1.alphabet) != set(d2.alphabet):
-        return False
-    reordered = Dfa(d2.state_count, d1.alphabet, d2.delta, d2.initial, d2.finals)
-    return minimize(d1) == minimize(reordered)

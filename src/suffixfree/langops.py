@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
-    Dfa, _mask, _minimal_subset_dfa, _preimages, _quotient, _rows, _subsets)
+    Dfa, _mask, _minimal_subset_dfa, _preimages, _quotient, _subsets)
 
 
 class BooleanOp(Enum):
@@ -174,14 +174,6 @@ def boolean_full(d1: Dfa, d2: Dfa, op: BooleanOp) -> OpResult:
 
 def boolean(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:
     return boolean_full(d1, d2, op).dfa
-
-
-def complement(d: Dfa) -> Dfa:
-    """Complement of a complete DFA: the quotient of its reachable part
-    with finality flipped."""
-    rows, final = _rows(d)
-    flipped = [not f for f in final]
-    return _quotient(d.alphabet, rows, flipped, flipped)
 
 
 def is_suffix_free(d: Dfa) -> bool:

@@ -10,7 +10,10 @@ a distinguished sink n-1:
 * wsf(n): bsf elements that either kill state 0 or kill every middle
   state; |wsf(n)| = (n-1)**(n-2) + (n-2).
 
-vsf(n) and wsf(n) are semigroups; the tests check their closure.
+vsf(n) and wsf(n) are semigroups (the tests check their closure), so
+a generated semigroup lies in one of them iff every generator does: its
+class is read off the generators and no element is listed.  bsf(n) is
+not closed, so its membership is checked element by element.
 """
 
 from __future__ import annotations
@@ -55,11 +58,13 @@ class TransitionSemigroup:
     predicates and the pair scans read them directly.  The frozenset of
     Transformation in elements is built on first read and kept.  Two
     semigroups are equal when their degrees and element sets are.
+    generators holds the named generators when generate built the
+    semigroup, and None otherwise.
     """
 
     __slots__ = ("degree", "generators", "_raw", "_set", "_elements")
 
-    def __init__(self, degree: int, elements, generators: tuple = None):
+    def __init__(self, degree: int, elements):
         if type(degree) is not int or degree < 1:
             raise ValueError(f"degree must be an int >= 1, got {degree!r}")
         if degree > 256:
@@ -69,7 +74,7 @@ class TransitionSemigroup:
         for t in elements:
             if t.degree != degree:
                 raise ValueError(f"element {t} has degree {t.degree}, want {degree}")
-        self._fill(degree, generators, [bytes(t) for t in elements], elements)
+        self._fill(degree, None, [bytes(t) for t in elements], elements)
 
     @classmethod
     def _of_bytes(cls, degree: int, raw: list, generators: tuple = None):
@@ -527,63 +532,26 @@ def enumerate_class(n: int, cls: str) -> frozenset:
     return frozenset([Transformation(t) for t in candidates if pred(t)])
 
 
-def _columns(degree: int, raw: list) -> list:
-    """Byte columns of the bytes elements raw: column q holds q's image
-    under every element, in element order."""
-    joined = b"".join(raw)
-    return [joined[q::degree] for q in range(degree)]
-
-
-def _lanes(column: bytes, table: bytes) -> int:
-    """column.translate(table) read as one int, byte i for element i."""
-    return int.from_bytes(column.translate(table), "little")
-
-
-def _all_in_class(degree: int, raw: list, cls: str) -> bool:
-    """Whether every element of raw is in vsf or wsf (cls), read off the
-    byte columns; see is_subsemigroup_of."""
-    sink = degree - 1
-    cols = _columns(degree, raw)
-    if cols[sink] != bytes([sink]) * len(raw) or any(0 in c for c in cols):
-        return False
-    if cls == WSF:
-        live = bytearray(b"\x01" * 256)
-        live[sink] = 0
-        middle_live = reduce(operator.or_,
-                             [_lanes(cols[q], live) for q in range(1, sink)], 0)
-        return not (_lanes(cols[0], live) & middle_live)
-    # Middle value v is bit (v - low) of a lane, for eight values at a
-    # time: a lane's sum over the non-sink columns exceeds its OR iff two
-    # of them hold the same value.
-    for low in range(1, sink, 8):
-        bit = bytearray(256)
-        for v in range(low, min(low + 8, sink)):
-            bit[v] = 1 << (v - low)
-        lanes = [_lanes(cols[q], bit) for q in range(sink)]
-        if sum(lanes) != reduce(operator.or_, lanes):
-            return False
-    return True
+def _generated_in(generators, cls: str) -> bool:
+    """Whether the semigroup that the generators generate lies in vsf or
+    wsf (cls).  Both are closed under composition and hold what they
+    generate, so it does exactly when every generator does."""
+    return all(map(_PREDICATE[cls], generators))
 
 
 def is_subsemigroup_of(s: TransitionSemigroup, cls: str) -> bool:
     """True iff every element passes the class membership predicate.
 
-    vsf and wsf are checked for all elements at once on byte columns,
-    by the conditions that define in_vsf and in_wsf (see the lemma
-    beside them).  A semigroup outside the class mostly shows it among
-    its first elements (a closure lists its generators first), so the
-    first 64 are checked before all of them.  bsf needs each element's
-    powers and keeps the per-element predicate.
+    For vsf and wsf a semigroup that generate built is judged on its
+    generators (see _generated_in).  bsf is not closed under
+    composition, so it, like a semigroup given by its elements, is
+    checked element by element.
     """
     if cls not in _PREDICATE:
         raise ValueError(f"unknown class {cls!r}")
-    raw = s._raw
-    if cls == BSF or not raw:
-        return all(map(in_bsf, raw))
-    if s.degree < 2:
-        raise ValueError("degree must be >= 2")
-    return (_all_in_class(s.degree, raw[:64], cls)
-            and _all_in_class(s.degree, raw, cls))
+    if cls != BSF and s.generators is not None:
+        return _generated_in([g for _, g in s.generators], cls)
+    return all(map(_PREDICATE[cls], s._raw))
 
 
 def colliding_pairs(s: TransitionSemigroup) -> frozenset:
@@ -613,7 +581,8 @@ def focused_pairs(s: TransitionSemigroup) -> frozenset:
     some element.
     """
     n = s.degree
-    cols = _columns(n, s._raw)
+    joined = b"".join(s._raw)
+    cols = [joined[q::n] for q in range(n)]
     left, right = bytearray(range(256)), bytearray(range(256))
     left[0] = n - 1
     right[n - 1] = 0

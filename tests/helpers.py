@@ -7,9 +7,13 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
-from suffixfree.automata import Dfa, Transformation, minimize
+from suffixfree.atoms import _basis_mask
+from suffixfree.automata import Dfa, Transformation, _chunk_tables, _mask, _quotient, minimize
 from suffixfree.langops import BooleanOp, boolean
-from suffixfree.semigroups import BSF, VSF, WSF, in_bsf
+from suffixfree.semigroups import (
+    BSF, VSF, WSF, TransitionSemigroup, generate, in_bsf, transition_semigroup,
+    vsf_generators)
+from suffixfree.witnesses import d5
 
 #: The letter of empty-word transitions in an Nfa.
 EPSILON = ""
@@ -97,10 +101,20 @@ def reference_in_wsf(t) -> bool:
 
 def reference_is_subsemigroup_of(s, cls: str) -> bool:
     """Class membership by one definition call per element, independent
-    of the column scan behind semigroups.is_subsemigroup_of and of the
+    of the generator rule behind semigroups.is_subsemigroup_of and of the
     lemma behind semigroups.in_vsf and in_wsf."""
     pred = {BSF: in_bsf, VSF: reference_in_vsf, WSF: reference_in_wsf}[cls]
     return all(map(pred, s._raw))
+
+
+def star_side_semigroup(n: int) -> TransitionSemigroup:
+    """Transition semigroup of a star-bound witness.  The ternary
+    witness family starts at n = 6; at n = 4, 5 the canonical automaton
+    whose semigroup is all of vsf(n) stands in."""
+    if n >= 6:
+        return transition_semigroup(d5(n, "a,b,-"))
+    return generate(n, [t for _, t in vsf_generators(n)],
+                    names=[name for name, _ in vsf_generators(n)])
 
 
 def reference_focused_pairs(s) -> frozenset:
@@ -280,9 +294,82 @@ def _reference_atom_reachable(d: Dfa, basis: frozenset):
     return order, rows, finals
 
 
+def _atom_pairs(d: Dfa, basis) -> tuple:
+    """Atom DFA before minimization, over disjoint subset pairs (X, Y).
+
+    X tracks the images of the basis and Y those of its complement,
+    both as int bitmasks packed into one key Y << n | X.  A pair whose
+    parts collide goes to the sink, kept as the pair (Q, Q), which every
+    letter maps to itself.  (X, Y) is final when X lies inside d.finals
+    and Y misses it.  States are numbered in BFS discovery order with
+    letters in alphabet order.  Returns one successor row per letter and
+    a finality flag per state.
+    """
+    n = d.state_count
+    full = (1 << n) - 1
+    sink = full << n | full
+    # X and Y step through the subset kernel's tables: one lookup per
+    # chunk gives a part's images under every letter, n bits apart.
+    low, chunks = _chunk_tables([[1 << r for r in d.delta[a]] for a in d.alphabet])
+    b = _basis_mask(d, basis)
+    index = {(full ^ b) << n | b: 0}
+    order = list(index)
+    rows = [[] for _ in d.alphabet]
+    for state in order:
+        x, y = state & full, state >> n
+        xs = ys = 0
+        for shift, chunk in chunks:
+            xs |= chunk[x >> shift & low]
+            ys |= chunk[y >> shift & low]
+        for row in rows:
+            xa, ya = xs & full, ys & full
+            xs >>= n
+            ys >>= n
+            nxt = sink if xa & ya else ya << n | xa
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(i)
+    f = _mask(d.finals)
+    return rows, [not s & full & ~f and not s >> n & f for s in order]
+
+
+def atom_dfa(d: Dfa, basis) -> Dfa:
+    """Minimal DFA of the atomic intersection with the given basis, by
+    the bitmask pair construction; the oracle that atoms.atom_complexity
+    counts the states of without building it."""
+    rows, final = _atom_pairs(d, basis)
+    return _quotient(d.alphabet, rows, final, final)
+
+
+def is_atom(d: Dfa, basis) -> bool:
+    """Non-emptiness of the atomic intersection, by reachability of a
+    final state in the raw construction."""
+    return any(_atom_pairs(d, basis)[1])
+
+
+def complement(d: Dfa) -> Dfa:
+    """Minimal DFA of the complement of a complete DFA's language: d
+    with finality flipped, minimized."""
+    flipped = [q for q in range(d.state_count) if q not in d.finals]
+    return minimize(Dfa(d.state_count, d.alphabet, d.delta, d.initial, flipped))
+
+
+def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
+    """True iff the minimal DFAs are identical up to state renumbering.
+
+    An alphabet mismatch (as a set) yields False, not an error.
+    """
+    if set(d1.alphabet) != set(d2.alphabet):
+        return False
+    reordered = Dfa(d2.state_count, d1.alphabet, d2.delta, d2.initial, d2.finals)
+    return minimize(d1) == minimize(reordered)
+
+
 def reference_atom_dfa(d: Dfa, basis) -> Dfa:
     """Minimal atom DFA by the frozenset pair construction, independent
-    of the bitmask kernel behind atoms.atom_dfa."""
+    of the bitmask kernel behind atom_dfa."""
     order, rows, finals = _reference_atom_reachable(d, frozenset(basis))
     return minimize(Dfa(len(order), d.alphabet, rows, 0, finals))
 

@@ -5,11 +5,10 @@ pyproject.toml) echoes the lines in the PASSES section."""
 import contextlib
 import random
 
-from suffixfree.atoms import atom_complexity, atom_dfa, atoms, suffix_free_atom_bound
+from suffixfree.atoms import atom_complexity, atoms, suffix_free_atom_bound
 from suffixfree.automata import (
     Dfa,
     compose,
-    is_isomorphic,
     minimize,
     quotient_complexity,
 )
@@ -33,10 +32,16 @@ from suffixfree.semigroups import (
     wsf_cardinality,
     wsf_generators,
 )
-from suffixfree.verify import star_side_semigroup
 from suffixfree.witnesses import binary_product_pair, d5, d6, verify_pred_word
 
-from helpers import brute_force_state_count, random_dfa, random_transformation
+from helpers import (
+    atom_dfa,
+    brute_force_state_count,
+    is_isomorphic,
+    random_dfa,
+    random_transformation,
+    star_side_semigroup,
+)
 
 
 @contextlib.contextmanager

@@ -9,21 +9,22 @@ import pytest
 from suffixfree.atoms import (
     AtomRow,
     atom_complexity,
-    atom_dfa,
     atom_report,
     atoms,
-    is_atom,
     middle_basis_bound,
     suffix_free_atom_bound,
     syntactic_complexity,
 )
-from suffixfree.automata import Dfa, is_isomorphic, minimize, quotient_complexity
+from suffixfree.automata import Dfa, minimize, quotient_complexity
 from suffixfree.langops import BooleanOp, boolean, reverse, reverse_full
 from suffixfree.semigroups import wsf_cardinality
 from suffixfree.witnesses import d6
 
 from helpers import (
+    atom_dfa,
     brute_force_state_count,
+    is_atom,
+    is_isomorphic,
     random_dfa,
     reference_atom_dfa,
     reference_atoms,

@@ -13,7 +13,6 @@ from suffixfree.automata import (
     _rows,
     _subsets,
     compose,
-    is_isomorphic,
     minimize,
     quotient_complexity,
     word_transformation,
@@ -22,6 +21,7 @@ from suffixfree.witnesses import d5, d6
 
 from helpers import (
     brute_force_state_count,
+    is_isomorphic,
     random_dfa,
     random_nfa,
     random_transformation,

@@ -10,11 +10,13 @@ from click.testing import CliRunner
 
 import suffixfree
 from suffixfree.atoms import AtomRow
-from suffixfree.automata import Dfa, is_isomorphic
+from suffixfree.automata import Dfa
 from suffixfree.cli import main, run
 from suffixfree.langops import star
 from suffixfree.verify import ALIASES, MEASURES
 from suffixfree.witnesses import d5, d6
+
+from helpers import is_isomorphic
 
 
 @pytest.fixture
@@ -236,6 +238,16 @@ def test_verify_star_exit_zero(runner):
     result = invoke(runner, "verify", "star", "--n", "6")
     assert result.exit_code == 0
     assert "met" in result.output
+
+
+def test_verify_classes_past_the_closure_budget_exit_zero():
+    # At n = 12 the atom witness's semigroup is wsf(12), with 11**10 + 10
+    # elements; the classes are read off the generators.
+    proc = run_module("verify", "classes", "--n", "12", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    assert len(reports) == 4
+    assert all(r["met"] and r["asserted"] for r in reports)
 
 
 def test_verify_help_lists_every_measure_unbroken(runner):

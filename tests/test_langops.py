@@ -10,7 +10,6 @@ from suffixfree.automata import (
     _rows,
     _subsets,
     _transpose,
-    is_isomorphic,
     minimize,
     quotient_complexity,
 )
@@ -20,7 +19,6 @@ from suffixfree.langops import (
     apply_dialect,
     boolean,
     boolean_full,
-    complement,
     concat,
     concat_full,
     is_suffix_free,
@@ -33,7 +31,9 @@ from suffixfree.semigroups import BSF, is_subsemigroup_of, transition_semigroup
 from suffixfree.witnesses import binary_product_pair, d5, d6
 
 from helpers import (
+    complement,
     has_suffix_violation,
+    is_isomorphic,
     random_dfa,
     reference_concat_nfa,
     reference_determinize,

@@ -27,7 +27,6 @@ from suffixfree.semigroups import (
     wsf_cardinality,
     wsf_generators,
 )
-from suffixfree.verify import star_side_semigroup
 from suffixfree.witnesses import d5, d6
 
 from helpers import (
@@ -37,6 +36,7 @@ from helpers import (
     reference_in_vsf,
     reference_in_wsf,
     reference_is_subsemigroup_of,
+    star_side_semigroup,
     zero_path,
 )
 
@@ -546,8 +546,8 @@ def _assert_membership_matches_reference(s):
 
 def test_membership_matches_reference_on_single_elements():
     # Every transformation of degree 2..5, and a sample at degree 6, as a
-    # one-element semigroup: the column test agrees with the predicates
-    # on each element, power condition included.
+    # one-element semigroup: membership agrees with the definitions on
+    # each element, power condition included.
     rng = random.Random(14)
     elements = [t for n in range(2, 6) for t in product(range(n), repeat=n)]
     elements += [random_transformation(rng, 6) for _ in range(3000)]
@@ -588,8 +588,8 @@ def _spoil(rng, t: list) -> list:
 
 def test_membership_matches_reference_on_random_element_sets():
     # Element sets of degree 2..8 drawn from vsf, wsf or both, up to 150
-    # elements so that some outlast the 64-element screen; half of them
-    # get one spoiled element at a random position.
+    # elements, checked element by element since no generators are
+    # kept; half of them get one spoiled element at a random position.
     rng = random.Random(1402)
     for _ in range(400):
         n = rng.randint(2, 8)
@@ -601,6 +601,27 @@ def test_membership_matches_reference_on_random_element_sets():
                        bytes(_spoil(rng, rng.choice(raw))))
         s = TransitionSemigroup._of_bytes(n, list(dict.fromkeys(raw)))
         _assert_membership_matches_reference(s)
+
+
+def test_membership_of_generated_semigroups_matches_reference():
+    # The generator rule: 1 to 3 generators drawn from bsf(n), vsf(n),
+    # wsf(n) or their union, against every element of the closure
+    # checked by the definitions.
+    rng = random.Random(1703)
+    pools = {n: [sorted(enumerate_class(n, cls)) for cls in (BSF, VSF, WSF)]
+             for n in (4, 5)}
+    for n in pools:
+        pools[n].append(sorted(set().union(*pools[n])))
+    outcomes = set()
+    for _ in range(500):
+        n = rng.choice((4, 5))
+        pool = rng.choice(pools[n])
+        s = generate(n, rng.sample(pool, rng.randint(1, 3)))
+        for cls in (BSF, VSF, WSF):
+            inside = is_subsemigroup_of(s, cls)
+            assert inside == reference_is_subsemigroup_of(s, cls), (s.generators, cls)
+            outcomes.add((cls, inside))
+    assert len(outcomes) == 6  # each class is both met and missed
 
 
 def test_membership_matches_reference_on_witness_semigroups():

@@ -157,10 +157,8 @@ def test_syntactic_and_wsf_size_meet_their_bounds_at_n9():
         assert r.computed == syntactic_bound(9) == 2097159
 
 
-def test_verify_all_closes_wsf_n_once_per_n(monkeypatch):
-    # Only the class checks list wsf(n); syntactic and wsf-size count it.
-    # A closure of degree >= 4 the size of wsf(n) is a copy of wsf(n):
-    # no Schützenberger group that semigroup_size closes has that order.
+def _count_closures(monkeypatch) -> list:
+    """Patch semigroups._close to record (degree, size) of each closure."""
     close = semigroups._close
     closed = []
 
@@ -170,15 +168,41 @@ def test_verify_all_closes_wsf_n_once_per_n(monkeypatch):
         return elements, escape
 
     monkeypatch.setattr(semigroups, "_close", counted)
+    return closed
+
+
+def test_verify_all_lists_no_copy_of_wsf_n(monkeypatch):
+    # No measure lists wsf(n): syntactic and wsf-size count it, and the
+    # class checks read generators.  A closure of degree >= 4 the size of
+    # wsf(n) is a copy of wsf(n): no Schützenberger group that
+    # semigroup_size closes has that order.
+    closed = _count_closures(monkeypatch)
     verify_all()
     assert sorted(n for n, size in closed
-                  if n >= 4 and size == wsf_cardinality(n)) == [4, 5, 6, 7]
+                  if n >= 4 and size == wsf_cardinality(n)) == []
+
+
+def test_semigroup_classes_close_no_semigroup(monkeypatch):
+    closed = _count_closures(monkeypatch)
+    for n in range(4, 9):
+        assert all(r.met and r.asserted for r in verify_semigroup_classes(n))
+    assert closed == []
 
 
 def test_semigroup_classes_hold_for_small_n():
     for n in (4, 5, 6):
         for r in verify_semigroup_classes(n):
             assert r.met and r.asserted, (n, r.measure)
+
+
+def test_semigroup_classes_reach_past_the_closure_budget():
+    # |wsf(10)| = 43,046,729 is over MAX_CLOSURE_ELEMENTS, so listing the
+    # witnesses' semigroups raised BudgetError from n = 10 on.
+    assert wsf_cardinality(10) > semigroups.MAX_CLOSURE_ELEMENTS
+    for n in range(9, 13):
+        reports = verify("classes", n=n)
+        assert len(reports) == 4
+        assert all(r.met and r.asserted for r in reports), n
 
 
 # ---------------------------------------------------------------------------
