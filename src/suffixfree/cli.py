@@ -23,7 +23,7 @@ from .verify import (
     verify_all,
 )
 from .atoms import atom_complexity, atom_report, atoms as atoms_of
-from .automata import BudgetError, Dfa
+from .automata import BudgetError, Dfa, minimize
 from .langops import (
     BooleanOp,
     boolean,
@@ -37,9 +37,13 @@ from .semigroups import (
     MAX_CLOSURE_ELEMENTS,
     VSF,
     WSF,
+    _generated_in,
+    _sink_last,
     colliding_pairs,
     focused_pairs,
+    generate,
     is_subsemigroup_of,
+    semigroup_size,
     transition_semigroup,
 )
 from .witnesses import binary_product_pair, d5, d6
@@ -224,6 +228,30 @@ BUDGET_ELEMENTS = click.option(
     help="abort if the semigroup exceeds this many elements")
 
 
+def _generators(d: Dfa) -> tuple:
+    """The state count and letter maps of the minimal DFA of d's
+    language, its empty state numbered last: the degree and generators
+    of its transition semigroup."""
+    m = _sink_last(minimize(d))
+    return m.state_count, [m.delta[a] for a in m.alphabet]
+
+
+def _cardinality(degree: int, gens: list, budget: int) -> int:
+    """The size of the semigroup gens generate, counted by R-classes
+    (semigroup_size) without listing it.  A count that would pass its
+    own cap lists the semigroup under budget instead, as a group too
+    large to count can still be listed.  Raises BudgetError past
+    budget."""
+    try:
+        size = semigroup_size(degree, gens)
+    except BudgetError:
+        return len(generate(degree, gens, max_elements=budget))
+    if size > budget:
+        raise BudgetError(f"the semigroup has {size} elements, "
+                          f"over max_elements={budget}")
+    return size
+
+
 @semigroup.command("generate")
 @click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
@@ -234,10 +262,14 @@ BUDGET_ELEMENTS = click.option(
 def semigroup_generate(input, fmt, out, show_elements, budget_elements):
     """Cardinality (and optionally elements) of the transition semigroup
     of the minimal DFA."""
-    sg = transition_semigroup(_load_dfa(input), max_elements=budget_elements)
-    doc = {"degree": sg.degree, "cardinality": len(sg)}
+    degree, gens = _generators(_load_dfa(input))
     if show_elements:
-        doc["elements"] = [list(t) for t in sg.sorted_elements()]
+        sg = generate(degree, gens, max_elements=budget_elements)
+        doc = {"degree": degree, "cardinality": len(sg),
+               "elements": [list(t) for t in sg.sorted_elements()]}
+    else:
+        doc = {"degree": degree,
+               "cardinality": _cardinality(degree, gens, budget_elements)}
     _show(doc, fmt, out)
 
 
@@ -248,15 +280,22 @@ def semigroup_generate(input, fmt, out, show_elements, budget_elements):
 @BUDGET_ELEMENTS
 def semigroup_classify(input, fmt, out, budget_elements):
     """Membership of the transition semigroup in bsf/vsf/wsf, plus the
-    suffix-freeness of the language itself."""
+    suffix-freeness of the language itself.  vsf and wsf are read off
+    the generators; both lie inside bsf, so the semigroup is listed, to
+    check bsf element by element, only when it is in neither."""
     d = _load_dfa(input)
-    sg = transition_semigroup(d, max_elements=budget_elements)
+    degree, gens = _generators(d)
+    cardinality = _cardinality(degree, gens, budget_elements)
+    in_vsf = degree >= 2 and _generated_in(gens, VSF)
+    in_wsf = degree >= 2 and _generated_in(gens, WSF)
+    in_bsf = in_vsf or in_wsf or (degree >= 2 and is_subsemigroup_of(
+        generate(degree, gens, max_elements=budget_elements), BSF))
     doc = {
-        "cardinality": len(sg),
+        "cardinality": cardinality,
         "suffix_free": is_suffix_free(d),
-        "in_bsf": sg.degree >= 2 and is_subsemigroup_of(sg, BSF),
-        "in_vsf": sg.degree >= 2 and is_subsemigroup_of(sg, VSF),
-        "in_wsf": sg.degree >= 2 and is_subsemigroup_of(sg, WSF),
+        "in_bsf": in_bsf,
+        "in_vsf": in_vsf,
+        "in_wsf": in_wsf,
     }
     _show(doc, fmt, out)
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from itertools import combinations, groupby
+from functools import reduce
+from itertools import combinations, groupby, permutations
+from operator import or_
 from typing import Callable
 
 from .atoms import _atom_complexities, atoms, middle_basis_bound, syntactic_complexity
@@ -311,11 +313,50 @@ class SearchReport:
         return asdict(self)
 
 
+def _conjugations(n: int, elements: list) -> list:
+    """For each permutation pi of the middle states 1..n-2 (0 and the
+    sink fixed), the conjugation t -> u, u[pi[q]] = pi[t[q]], as a map
+    of indices into elements, which it must permute."""
+    index = {t: i for i, t in enumerate(elements)}
+    maps = []
+    for middle in permutations(range(1, n - 1)):
+        pi = (0, *middle, n - 1)
+        back = sorted(range(n), key=pi.__getitem__)
+        maps.append([index[bytes([pi[t[q]] for q in back])] for t in elements])
+    return maps
+
+
+def _pair_masks(n: int, elements: list) -> list:
+    """Per element, its colliding middle pairs in the low bits and its
+    focused middle pairs in the bits above them, pair j of
+    combinations(range(1, n - 1), 2) at bit j of each half.  Both kinds
+    of pair are unions over elements, so a set of elements has every
+    middle pair colliding and focused iff the OR of its masks is all
+    ones."""
+    bit = {p: 1 << j for j, p in enumerate(combinations(range(1, n - 1), 2))}
+    shift = len(bit)
+
+    def mask(t):
+        one = TransitionSemigroup._of_bytes(n, [t])
+        return (sum(map(bit.get, colliding_pairs(one)))
+                | sum(map(bit.get, focused_pairs(one))) << shift)
+
+    return [mask(t) for t in elements]
+
+
 def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
     """Closures of every generator subset of bsf(n) up to the size cap.
 
     Records the largest suffix-free semigroup found and whether any
     closure has all middle pairs simultaneously colliding and focused.
+
+    Conjugating by a permutation of the middle states maps bsf(n) onto
+    itself and keeps a closure's escape from bsf(n), its size and the
+    pair condition, so one subset per orbit of that group is closed: the
+    least in its orbit, its generators taken in the sorted order of
+    bsf(n).  semigroups_found still counts generator subsets, each orbit
+    by its size, not distinct semigroups: subsets that generate the same
+    semigroup each count.
     """
     for name, value in (("n", n), ("cap", cap)):
         if type(value) is not int:
@@ -328,22 +369,29 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
         raise BudgetError("generator-set size cap is 3")
     bsf = [bytes(t) for t in sorted(enumerate_class(n, BSF))]
     bsf_set = set(bsf)
-    all_middle_pairs = frozenset(combinations(range(1, n - 1), 2))
+    maps = _conjugations(n, bsf)
+    mask = dict(zip(bsf, _pair_masks(n, bsf)))
+    every_pair = (1 << 2 * math.comb(n - 2, 2)) - 1
     found = 0
     best = 0
     any_both = False
-    for size in range(1, cap + 1):
-        for gens in combinations(bsf, size):
-            elements, escape = _close(n, gens, guard=bsf_set)
-            if escape is not None:
-                continue
-            found += 1
-            best = max(best, len(elements))
-            closure = TransitionSemigroup._of_bytes(n, elements)
-            if (all_middle_pairs
-                    and colliding_pairs(closure) == all_middle_pairs
-                    and focused_pairs(closure) == all_middle_pairs):
-                any_both = True
+    # The least subset of an orbit starts at the least element of its
+    # own orbit.
+    for first in [i for i in range(len(bsf)) if all(m[i] >= i for m in maps)]:
+        for size in range(cap):
+            for rest in combinations(range(first + 1, len(bsf)), size):
+                subset = (first, *rest)
+                orbit = {tuple(sorted([m[i] for i in subset])) for m in maps}
+                if min(orbit) != subset:
+                    continue
+                elements, escape = _close(n, [bsf[i] for i in subset],
+                                          guard=bsf_set)
+                if escape is not None:
+                    continue
+                found += len(orbit)
+                best = max(best, len(elements))
+                if every_pair and reduce(or_, map(mask.get, elements)) == every_pair:
+                    any_both = True
     return SearchReport(
         degree=n,
         generator_cap=cap,

@@ -11,8 +11,9 @@ from suffixfree.atoms import _basis_mask
 from suffixfree.automata import Dfa, Transformation, _chunk_tables, _mask, _quotient, minimize
 from suffixfree.langops import BooleanOp, boolean
 from suffixfree.semigroups import (
-    BSF, VSF, WSF, TransitionSemigroup, generate, in_bsf, transition_semigroup,
-    vsf_generators)
+    BSF, VSF, WSF, TransitionSemigroup, _close, colliding_pairs, enumerate_class,
+    focused_pairs, generate, in_bsf, transition_semigroup, vsf_generators)
+from suffixfree.verify import SearchReport
 from suffixfree.witnesses import d5
 
 #: The letter of empty-word transitions in an Nfa.
@@ -132,6 +133,46 @@ def reference_focused_pairs(s) -> frozenset:
                 continue
             pairs.update(combinations(qs, 2))
     return frozenset(pairs)
+
+
+def kept_closures(n: int, cap: int):
+    """The closure of every generator subset of bsf(n) with at most cap
+    elements that stays inside bsf(n), as a TransitionSemigroup: one
+    closure per subset, none skipped by symmetry."""
+    bsf = [bytes(t) for t in sorted(enumerate_class(n, BSF))]
+    bsf_set = set(bsf)
+    for size in range(1, cap + 1):
+        for gens in combinations(bsf, size):
+            elements, escape = _close(n, gens, guard=bsf_set)
+            if escape is None:
+                yield TransitionSemigroup._of_bytes(n, elements)
+
+
+def reference_search(n: int, cap: int) -> SearchReport:
+    """search_subsemigroups by closing every subset, with the pair sets
+    of each kept closure from colliding_pairs and focused_pairs,
+    independent of the orbit count and the per-element pair masks."""
+    all_middle_pairs = frozenset(combinations(range(1, n - 1), 2))
+    found = best = 0
+    any_both = False
+    for closure in kept_closures(n, cap):
+        found += 1
+        best = max(best, len(closure))
+        if (all_middle_pairs
+                and colliding_pairs(closure) == all_middle_pairs
+                and focused_pairs(closure) == all_middle_pairs):
+            any_both = True
+    return SearchReport(degree=n, generator_cap=cap, semigroups_found=found,
+                        max_cardinality=best, any_colliding_and_focused=any_both,
+                        complete=True)
+
+
+def conjugate(t, pi) -> Transformation:
+    """The u with u[pi[q]] = pi[t[q]] for every state q."""
+    u = [None] * len(t)
+    for q, r in enumerate(t):
+        u[pi[q]] = pi[r]
+    return Transformation(u)
 
 
 class Nfa(NamedTuple):

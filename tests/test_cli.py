@@ -12,11 +12,13 @@ import suffixfree
 from suffixfree.atoms import AtomRow
 from suffixfree.automata import Dfa
 from suffixfree.cli import main, run
-from suffixfree.langops import star
+from suffixfree import semigroups
+from suffixfree.langops import is_suffix_free, star
+from suffixfree.semigroups import BSF, VSF, WSF, transition_semigroup
 from suffixfree.verify import ALIASES, MEASURES
 from suffixfree.witnesses import d5, d6
 
-from helpers import is_isomorphic
+from helpers import is_isomorphic, reference_is_subsemigroup_of
 
 
 @pytest.fixture
@@ -149,6 +151,61 @@ def test_semigroup_collisions(runner, tmp_path):
     doc = json.loads(result.output)
     assert doc["colliding"] == []
     assert doc["focused"] == [[1, 2], [1, 3], [2, 3]]
+
+
+def test_semigroup_generate_counts_d6_9_without_listing(runner, tmp_path):
+    # Listing the 2,097,159 elements took 5.2 s and 308 MB.
+    src = write_dfa(tmp_path, "in.json", d6(9))
+    result = invoke(runner, "semigroup", "generate", src, "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"degree": 9, "cardinality": 2097159}
+
+
+def test_semigroup_classify_d6_10_past_the_default_budget(runner, tmp_path):
+    # |wsf(10)| = 43,046,729: listing it exceeds the default budget, and
+    # the count, the generators and the wsf rule need no listing.
+    src = write_dfa(tmp_path, "in.json", d6(10))
+    result = invoke(runner, "semigroup", "classify", src, "--format", "json",
+                    "--budget-elements", "50000000")
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["cardinality"] == 43046729
+    assert doc["in_wsf"] is True and doc["in_bsf"] is True
+    assert doc["in_vsf"] is False
+
+
+#: Semigroups inside bsf(5) but in neither vsf(5) nor wsf(5), so classify
+#: lists them for bsf; and a letter map that collides 0 with a middle
+#: state, outside bsf.
+BSF_ONLY = Dfa(5, ["a", "b"], {"a": [1, 2, 4, 4, 4], "b": [4, 3, 1, 1, 4]}, 0, [2])
+NOT_BSF = Dfa(4, ["a", "b"], {"a": [1, 2, 3, 3], "b": [2, 2, 1, 3]}, 0, [2])
+
+
+@pytest.mark.parametrize("d", [d6(5), d6(5, "a,-,c,-,e"), d5(6, "a,b,-"),
+                               BSF_ONLY, NOT_BSF, Dfa(2, [], {}, 0, [1])],
+                         ids=["d6", "d6-reversal", "d5", "bsf-only", "not-bsf",
+                              "no-letters"])
+def test_semigroup_classify_matches_the_listed_semigroup(runner, tmp_path, d):
+    src = write_dfa(tmp_path, "in.json", d)
+    result = invoke(runner, "semigroup", "classify", src, "--format", "json")
+    assert result.exit_code == 0
+    sg = transition_semigroup(d)
+    classes = {f"in_{cls}": sg.degree >= 2 and reference_is_subsemigroup_of(sg, cls)
+               for cls in (BSF, VSF, WSF)}
+    assert json.loads(result.output) == {
+        "cardinality": len(sg), "suffix_free": is_suffix_free(d), **classes}
+
+
+def test_semigroup_generate_lists_what_it_cannot_count(runner, tmp_path,
+                                                       monkeypatch):
+    # A count past semigroup_size's own cap (a large group, say) falls
+    # back to listing under --budget-elements.
+    monkeypatch.setattr(semigroups, "MAX_CLOSURE_ELEMENTS", 10)
+    src = write_dfa(tmp_path, "in.json", d6(5))
+    for command in ("generate", "classify"):
+        result = invoke(runner, "semigroup", command, src, "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["cardinality"] == 67
 
 
 @pytest.mark.parametrize("command", ["generate", "classify", "collisions"])

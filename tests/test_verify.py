@@ -1,4 +1,5 @@
-from itertools import combinations
+import math
+from itertools import combinations, permutations
 
 import pytest
 
@@ -6,10 +7,13 @@ from suffixfree import semigroups
 from suffixfree.atoms import atoms
 from suffixfree.automata import BudgetError
 from suffixfree.langops import BooleanOp
-from suffixfree.semigroups import wsf_cardinality
+from suffixfree.semigroups import (
+    BSF, colliding_pairs, enumerate_class, focused_pairs, wsf_cardinality)
 from suffixfree.verify import (
     ATOM_TABLE,
     ComplexityReport,
+    _conjugations,
+    _pair_masks,
     atom_count_bound,
     difference_bound,
     intersection_bound,
@@ -31,6 +35,8 @@ from suffixfree.verify import (
     verify_wsf_size,
 )
 from suffixfree.witnesses import d6
+
+from helpers import conjugate, kept_closures, reference_search
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +239,56 @@ def test_search_reports_are_unchanged():
         "degree": 5, "generator_cap": 2, "semigroups_found": 5308,
         "max_cardinality": 49, "any_colliding_and_focused": False,
         "complete": True}
+
+
+@pytest.mark.parametrize("n, cap", [(n, cap) for n in (2, 3, 4) for cap in (1, 2, 3)]
+                         + [(5, 1), (5, 2)])
+def test_search_matches_reference(n, cap):
+    assert search_subsemigroups(n, cap).to_dict() == reference_search(n, cap).to_dict()
+
+
+def test_search_at_n5_cap3():
+    # 140,048 of the 253,575 closures stay inside bsf(5); |vsf(5)| = 73
+    # needs more than three generators.
+    assert search_subsemigroups(5, 3).to_dict() == {
+        "degree": 5, "generator_cap": 3, "semigroups_found": 140048,
+        "max_cardinality": 61, "any_colliding_and_focused": False,
+        "complete": True}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_conjugation_maps_bsf_onto_itself(n):
+    members = enumerate_class(n, BSF)
+    for middle in permutations(range(1, n - 1)):
+        pi = (0, *middle, n - 1)
+        assert {conjugate(t, pi) for t in members} == members
+    if n <= 5:
+        ordered = sorted(members)
+        maps = _conjugations(n, [bytes(t) for t in ordered])
+        assert len(maps) == math.factorial(n - 2)
+        for middle, m in zip(permutations(range(1, n - 1)), maps):
+            pi = (0, *middle, n - 1)
+            assert [ordered[i] for i in m] == [conjugate(t, pi) for t in ordered]
+
+
+def test_pair_masks_or_to_the_pairs_of_each_closure():
+    # No closure of the search meets the pair condition, so this is what
+    # exercises the masks: their OR over a kept closure's elements gives
+    # its colliding pairs in the low bits and its focused pairs above.
+    n = 4
+    pairs = list(combinations(range(1, n - 1), 2))
+    bsf = [bytes(t) for t in sorted(enumerate_class(n, BSF))]
+    mask = dict(zip(bsf, _pair_masks(n, bsf)))
+    kinds = set()
+    for closure in kept_closures(n, 3):
+        got = 0
+        for t in closure._raw:
+            got |= mask[t]
+        colliding, focused = colliding_pairs(closure), focused_pairs(closure)
+        kinds.add((bool(colliding), bool(focused)))
+        assert got == (sum(1 << pairs.index(p) for p in colliding)
+                       | sum(1 << pairs.index(p) for p in focused) << len(pairs))
+    assert {(True, False), (False, True)} <= kinds
 
 
 def test_search_rejects_arguments_that_are_not_ints():
