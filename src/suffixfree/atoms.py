@@ -1,6 +1,7 @@
 """Atoms of a regular language: atom enumeration by one reversed subset
-construction, atom quotient complexities over disjoint subset pairs, and
-the exact upper-bound formula for atoms of suffix-free languages.
+construction, the quotient complexities of any set of atoms counted on
+one shared graph of disjoint subset pairs, and the exact upper-bound
+formula for atoms of suffix-free languages.
 
 An atom is a non-empty intersection of some quotients (indexed by the
 basis S) with the complements of all the others.  Atoms partition
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from .automata import (
     Dfa, _chunk_tables, _mask, _preimages, _subsets, _transpose, minimize,
     quotient_complexity)
-from .semigroups import semigroup_size
+from .semigroups import _components, semigroup_size
 
 
 def _basis_mask(d: Dfa, basis) -> int:
@@ -46,7 +47,8 @@ def atoms(d: Dfa) -> frozenset:
 
 def _atom_complexities(d: Dfa) -> tuple:
     """The masks of d's atom bases (see _atom_bases) and the function
-    mask -> complexity of its atom, the work that depends on d done once.
+    from an iterable of basis masks to a dict mask -> complexity of its
+    atom, the work that depends on d done once.
 
     The atom DFA of basis S runs on disjoint subset pairs (X, Y), X the
     images of S and Y those of its complement, packed into one key
@@ -55,8 +57,23 @@ def _atom_complexities(d: Dfa) -> tuple:
     holds X and misses Y.  Atoms are non-empty and disjoint, so two
     pairs are equivalent exactly when they admit the same atoms, and the
     quotient complexity is the number of distinct admitted sets over the
-    reachable pairs: neither transition rows nor refinement are needed.
-    The sink admits no atom.
+    pairs reachable from S's start pair: neither transition rows nor
+    refinement are needed.  The sink admits no atom.
+
+    Neither a pair's successors nor the atoms it admits depend on the
+    basis that reached it (Brzozowski and Tamm, "Theory of atomata", TCS
+    539, 2014), so all the bases asked for share one pair graph, built
+    by one BFS from their start pairs.  Each of its strongly connected
+    components gets one bitset over the distinct barred sets (the
+    complements of the admitted ones): those of its own pairs ORed with
+    the bitsets of the components its edges enter.  _components
+    completes a component after every one it reaches, so one pass in
+    that order fills them, and a basis's complexity is the popcount of
+    its start pair's bitset.  With a single basis every pair of the
+    graph is reachable from its start pair, so its count is the number
+    of distinct barred sets; the edge lists and components are skipped,
+    and the edge lists look each pair up again after the BFS so that a
+    single basis builds none of them.
     """
     n = d.state_count
     bases = _atom_bases(d)
@@ -73,17 +90,18 @@ def _atom_complexities(d: Dfa) -> tuple:
     xcols = [(every ^ h) << top for h in holds]
     ycols = [h << top for h in holds]
     for j, a in enumerate(d.alphabet):
+        at = j * k
         for q, r in enumerate(d.delta[a]):
-            xcols[q] |= 1 << j * k + r
-            ycols[q] |= 1 << j * k + n + r
+            xcols[q] |= 1 << at + r
+            ycols[q] |= 1 << at + n + r
     xlow, xchunks = _chunk_tables([xcols])
     ylow, ychunks = _chunk_tables([ycols])
     letters = range(len(d.alphabet))
 
-    def complexity(b: int) -> int:
-        start = (full ^ b) << n | b
-        seen = {start}
-        order = [start]
+    def complexities(masks) -> dict:
+        starts = {b: (full ^ b) << n | b for b in masks}
+        order = list(starts.values())
+        seen = set(order)
         barred = set()
         for state in order:
             x, y = state & full, state >> n
@@ -101,20 +119,45 @@ def _atom_complexities(d: Dfa) -> tuple:
                     seen.add(nxt)
                     order.append(nxt)
             barred.add(packed)
-        return len(barred)
+        if len(starts) == 1:
+            return dict.fromkeys(starts, len(barred))
+        ids = {bars: i for i, bars in enumerate(barred)}
+        edges, own = {}, {}
+        for state in order:
+            x, y = state & full, state >> n
+            packed = 0
+            for shift, chunk in xchunks:
+                packed |= chunk[x >> shift & xlow]
+            for shift, chunk in ychunks:
+                packed |= chunk[y >> shift & ylow]
+            out = edges[state] = []
+            for j in letters:
+                nxt = packed & sink
+                packed >>= k
+                out.append((j, sink if nxt & nxt >> n else nxt))
+            own[state] = ids[packed]
+        label = _components(order, edges)
+        reach = {}
+        for v, root in label.items():
+            bits = reach.get(root, 0) | 1 << own[v]
+            for _, w in edges[v]:
+                if label[w] != root:
+                    bits |= reach[label[w]]
+            reach[root] = bits
+        return {b: reach[label[s]].bit_count() for b, s in starts.items()}
 
-    return bases, complexity
+    return bases, complexities
 
 
 def atom_complexity(d: Dfa, basis) -> int:
     """Quotient complexity of the atom with the given basis."""
     basis = frozenset(basis)
     b = _basis_mask(d, basis)
-    bases, complexity = _atom_complexities(d)
+    bases, complexities = _atom_complexities(d)
     if b not in bases:
         raise ValueError(f"{sorted(basis)} is not an atom basis: "
                          "the atomic intersection is empty")
-    return complexity(b)
+    return complexities([b])[b]
 
 
 def middle_basis_bound(n: int, size: int) -> int:
@@ -195,11 +238,11 @@ def atom_report(d: Dfa) -> list:
     middles = [q for q in range(n) if q not in (d.initial, empty[0])]
     label = {q: i for i, q in enumerate(middles, 1)}
     label.update({d.initial: 0, empty[0]: n - 1})
-    bases, complexity = _atom_complexities(d)
+    bases, complexities = _atom_complexities(d)
     rows = []
-    for b in bases:
+    for b, complexity in complexities(bases).items():
         basis = tuple(q for q in range(n) if b >> q & 1)
-        rows.append(AtomRow(basis=basis, complexity=complexity(b),
+        rows.append(AtomRow(basis=basis, complexity=complexity,
                             bound=suffix_free_atom_bound(n, {label[q] for q in basis})))
     rows.sort(key=lambda r: (len(r.basis), r.basis))
     return rows

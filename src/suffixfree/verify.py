@@ -220,33 +220,35 @@ def verify_atom_table(n: int, construct: bool = None) -> list:
     """Per-basis-size maxima of atom complexity for the quinary witness,
     checked against the reference table.
 
-    For n <= 7 the maxima are computed by building the atom DFAs; for
+    For n <= 9 the maxima are counted on the atoms' shared pair graph
+    (see atoms._atom_complexities), charged to the size-0 report; for
     larger n only the bound formula is evaluated unless construct=True.
     """
     if n not in ATOM_TABLE:
         raise ValueError(f"no reference table column for n={n}")
     if construct is None:
-        construct = n <= 7
-    bases, complexity = _atom_complexities(d6(n)) if construct else ([], None)
-    reports = []
-    for size in range(n - 1):
-        expected = ATOM_TABLE[n][size]
+        construct = n <= 9
+    maxima = {}
 
-        def compute(size=size):
-            if construct:
-                return max(complexity(b) for b in bases if b.bit_count() == size)
+    def compute(size):
+        if not construct:
             return max_atom_table_bound(n, size)
+        if not maxima:
+            bases, complexities = _atom_complexities(d6(n))
+            for b, c in complexities(bases).items():
+                maxima[b.bit_count()] = max(maxima.get(b.bit_count(), 0), c)
+        return maxima[size]
 
-        reports.append(
-            _report(
-                "atom-table" if construct else "atom-table-formula",
-                {"n": n, "size": size},
-                asserted=True,
-                compute=compute,
-                bound=expected,
-            )
+    return [
+        _report(
+            "atom-table" if construct else "atom-table-formula",
+            {"n": n, "size": size},
+            asserted=True,
+            compute=lambda size=size: compute(size),
+            bound=ATOM_TABLE[n][size],
         )
-    return reports
+        for size in range(n - 1)
+    ]
 
 
 def _letter_maps(d) -> list:

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
-from suffixfree.atoms import _basis_mask
-from suffixfree.automata import Dfa, Transformation, _chunk_tables, _mask, _quotient, minimize
+from suffixfree.atoms import _atom_bases, _basis_mask
+from suffixfree.automata import (
+    Dfa, Transformation, _chunk_tables, _mask, _quotient, _transpose, minimize)
 from suffixfree.langops import BooleanOp, boolean
 from suffixfree.semigroups import (
     BSF, VSF, WSF, TransitionSemigroup, _close, colliding_pairs, enumerate_class,
@@ -425,6 +426,50 @@ def reference_atoms(d: Dfa) -> frozenset:
         if _reference_atom_reachable(d, basis)[2]:
             found.append(basis)
     return frozenset(found)
+
+
+def reference_atom_complexity(d: Dfa, mask: int) -> int:
+    """Quotient complexity of the atom with basis mask by its own pair
+    BFS: the number of distinct sets of barred atoms over the pairs its
+    start pair reaches, one BFS per basis, independent of the shared
+    pair graph and its components behind atoms.atom_complexity."""
+    n = d.state_count
+    bases = _atom_bases(d)
+    full = (1 << n) - 1
+    sink = full << n | full
+    k = 2 * n
+    top = len(d.alphabet) * k
+    holds = _transpose(bases, n)
+    every = (1 << len(bases)) - 1
+    xcols = [(every ^ h) << top for h in holds]
+    ycols = [h << top for h in holds]
+    for j, a in enumerate(d.alphabet):
+        for q, r in enumerate(d.delta[a]):
+            xcols[q] |= 1 << j * k + r
+            ycols[q] |= 1 << j * k + n + r
+    xlow, xchunks = _chunk_tables([xcols])
+    ylow, ychunks = _chunk_tables([ycols])
+    start = (full ^ mask) << n | mask
+    seen = {start}
+    order = [start]
+    barred = set()
+    for state in order:
+        x, y = state & full, state >> n
+        packed = 0
+        for shift, chunk in xchunks:
+            packed |= chunk[x >> shift & xlow]
+        for shift, chunk in ychunks:
+            packed |= chunk[y >> shift & ylow]
+        for _ in d.alphabet:
+            nxt = packed & sink
+            packed >>= k
+            if nxt & nxt >> n:  # X and Y collide
+                nxt = sink
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+        barred.add(packed)
+    return len(barred)
 
 
 def random_dfa(rng: random.Random, n: int, letters: int) -> Dfa:

@@ -8,6 +8,7 @@ import pytest
 
 from suffixfree.atoms import (
     AtomRow,
+    _atom_complexities,
     atom_complexity,
     atom_report,
     atoms,
@@ -18,7 +19,7 @@ from suffixfree.atoms import (
 from suffixfree.automata import Dfa, minimize, quotient_complexity
 from suffixfree.langops import BooleanOp, boolean, reverse, reverse_full
 from suffixfree.semigroups import wsf_cardinality
-from suffixfree.witnesses import d6
+from suffixfree.witnesses import d5, d6
 
 from helpers import (
     atom_dfa,
@@ -26,6 +27,7 @@ from helpers import (
     is_atom,
     is_isomorphic,
     random_dfa,
+    reference_atom_complexity,
     reference_atom_dfa,
     reference_atoms,
     reference_determinize,
@@ -169,6 +171,48 @@ def test_atom_complexity_counts_the_minimal_atom_dfa():
         bases = sorted(atoms(d), key=sorted)
         for basis in rng.sample(bases, min(8, len(bases))):
             assert atom_complexity(d, basis) == quotient_complexity(atom_dfa(d, basis))
+
+
+def test_shared_pair_graph_matches_one_bfs_per_basis_on_the_witnesses():
+    for d in [d6(n) for n in range(4, 10)] + [d5(n) for n in range(6, 9)]:
+        bases, complexities = _atom_complexities(d)
+        assert complexities(bases) == {
+            b: reference_atom_complexity(d, b) for b in bases}
+
+
+def test_shared_pair_graph_matches_one_bfs_per_basis_on_random_dfas():
+    # Every mask, atom basis or not, all states and none included, with
+    # each mask asked for twice; 1-state DFAs and an empty alphabet.
+    rng = random.Random(83)
+    dfas = [random_dfa(rng, rng.randrange(1, 8), rng.randrange(0, 4))
+            for _ in range(60)]
+    dfas += [Dfa(1, "a", {"a": [0]}, 0, []), Dfa(1, "a", {"a": [0]}, 0, [0]),
+             Dfa(1, "", {}, 0, [0]), Dfa(3, "", {}, 0, [1])]
+    for d in dfas:
+        bases, complexities = _atom_complexities(d)
+        masks = list(range(1 << d.state_count))
+        counts = complexities(masks + masks[::-1])
+        assert counts == {b: reference_atom_complexity(d, b) for b in masks}
+        assert complexities(bases) == {b: counts[b] for b in bases}
+        assert complexities([]) == {}
+        if d.state_count <= 6:
+            for b in bases:
+                basis = [q for q in range(d.state_count) if b >> q & 1]
+                assert counts[b] == quotient_complexity(atom_dfa(d, basis))
+
+
+def test_one_basis_counts_only_the_pairs_it_reaches(monkeypatch):
+    # With one start pair every pair the BFS meets is reachable from it,
+    # so the count skips the components; the other bases' pairs would
+    # add their barred sets to it.
+    module = importlib.import_module("suffixfree.atoms")
+    monkeypatch.setattr(module, "_components", None)
+    for d in (d6(7), d5(7)):
+        bases, complexities = _atom_complexities(d)
+        for b in bases:
+            assert complexities([b, b]) == {b: reference_atom_complexity(d, b)}
+            basis = {q for q in range(d.state_count) if b >> q & 1}
+            assert atom_complexity(d, basis) == reference_atom_complexity(d, b)
 
 
 def test_atom_dfa_matches_reference_construction():
