@@ -1,5 +1,6 @@
 """Core automata values: transformations and DFAs, and the kernels
-everything else builds on: the one subset construction (_subsets) and
+everything else builds on: the one subset construction (_subsets),
+which can read each subset's Nerode class in its own pass, and
 minimization, whose quotient comes out canonically (BFS) numbered.
 
 States are always 0..n-1.  All values are immutable after construction
@@ -228,7 +229,7 @@ def _chunk_tables(tables: list) -> tuple:
     return (1 << w) - 1, chunks
 
 
-def _subsets(start: int, tables: list, limit: int = None) -> tuple:
+def _subsets(start: int, tables: list, limit: int = None, column: list = None) -> tuple:
     """Reachable-subset BFS over int bitmasks, the one subset
     construction of the package.
 
@@ -237,13 +238,20 @@ def _subsets(start: int, tables: list, limit: int = None) -> tuple:
     subsets in discovery order and, per table, the row of successor
     indices.  With a limit, only the first limit subsets are expanded:
     the rows cover those, and every subset found is returned.
+
+    A column (one mask per state, of any width) is packed above the
+    tables, so what is left of S's lookup once every successor is
+    shifted out is the OR of column[q] over the q in S.  Numbered by
+    first appearance, that is S's label; then the labels of the expanded
+    subsets and their count are returned too.
     """
     k = len(tables[0]) if tables else 0
-    low, chunks = _chunk_tables(tables)
+    low, chunks = _chunk_tables(tables if column is None else tables + [column])
     full = (1 << k) - 1
     index = {start: 0}
     order = [start]
     rows = [[] for _ in tables]
+    labels, signatures = [], {}
     for s in islice(order, limit):
         image = 0
         for shift, chunk in chunks:
@@ -256,7 +264,11 @@ def _subsets(start: int, tables: list, limit: int = None) -> tuple:
                 i = index[nxt] = len(order)
                 order.append(nxt)
             row.append(i)
-    return order, rows
+        if column is not None:
+            labels.append(signatures.setdefault(image, len(signatures)))
+    if column is None:
+        return order, rows
+    return order, rows, labels, len(signatures)
 
 
 def _transpose(masks: list, k: int) -> list:
@@ -279,50 +291,35 @@ def _preimages(d: Dfa) -> list:
             for a in d.alphabet]
 
 
-#: Subsets that the reversed construction of a Nerode seed expands at
-#: most; _refine finishes whatever a cut-off seed leaves open.
+#: Subsets that the reversed construction behind the Nerode labels
+#: expands at most; _refine finishes what a cut-off run leaves open.
 _SEED_SUBSETS = 64
 
 
-def _nerode_seed(order: list, tables: list, finals: int) -> list:
-    """The Nerode class of each subset of a _subsets run over these
-    tables, numbered by first appearance: a start for _refine.
+def _minimal_subset_dfa(alphabet: tuple, start: int, tables: list, finals: int) -> tuple:
+    """The minimal DFA of the _subsets run from start with one table
+    per letter, a subset final when it meets the finals mask; and the
+    run's state count.
 
     A subset S accepts w exactly when it meets P_w, the states from
     which a w-path enters finals.  The P_w are the subsets that the
     construction through the transposed tables reaches from finals
     (Brzozowski and Tamm, "Theory of atomata", TCS 539, 2014), so the
-    set of P_w that S meets is its class.  With bit i of column q set
-    when q lies in the i-th P_w, the column tables read that set in one
-    lookup per chunk.  A reversed construction cut off at _SEED_SUBSETS
-    still gives a partition between finality (P_0 is finals) and
-    Nerode's, and _refine completes it.
+    set of P_w that S meets, S's label under the column that sets bit i
+    of q when q lies in the i-th P_w, is its Nerode class.  A reversed
+    run cut off at _SEED_SUBSETS leaves labels between finality (P_0
+    is finals) and Nerode's, and _refine completes them.
     """
-    if not tables:
-        return [0]  # no letters: the start is the only subset
+    if not tables:  # no letters: the start is the only subset, class 0
+        return _quotient(alphabet, [], [start & finals != 0], [0], 1), 1
     k = len(tables[0])
     found, _ = _subsets(finals, [_transpose(t, k) for t in tables], _SEED_SUBSETS)
-    low, chunks = _chunk_tables([_transpose(found, k)])
-    classes: dict = {}
-    seed = []
-    for s in order:
-        sig = 0
-        for shift, chunk in chunks:
-            sig |= chunk[s >> shift & low]
-        seed.append(classes.setdefault(sig, len(classes)))
-    return seed
-
-
-def _minimal_subset_dfa(alphabet: tuple, start: int, tables: list,
-                        finals: int) -> tuple:
-    """The minimal DFA of the _subsets run from start with one table
-    per letter, a subset final when it meets the finals mask, with
-    refinement started from the Nerode seed; and the run's state count."""
-    order, rows = _subsets(start, tables)
+    order, rows, block, m = _subsets(start, tables, column=_transpose(found, k))
     final = [s & finals != 0 for s in order]
-    seed = _nerode_seed(order, tables, finals)
-    del order  # freed before refinement and quotient, where memory peaks
-    return _quotient(alphabet, rows, final, seed), len(final)
+    del order  # freed before the quotient, where memory peaks
+    if len(found) > _SEED_SUBSETS:
+        block, m = _refine(rows, block)
+    return _quotient(alphabet, rows, final, block, m), len(final)
 
 
 def _refine(succ: list, block: list) -> tuple:
@@ -362,19 +359,17 @@ def _rows(d: Dfa) -> tuple:
     return rows, [q in d.finals for q in order]
 
 
-def _quotient(alphabet: tuple, rows: list, final: list, block: list) -> Dfa:
+def _quotient(alphabet: tuple, rows: list, final: list, block: list, m: int) -> Dfa:
     """The minimal DFA of states 0..N-1, numbered in BFS order from the
     initial state 0 with letters in alphabet order: one successor row
-    per letter, a finality flag per state, and block, the class of each
-    state in a starting partition that separates no two equivalent
-    states but every final state from every non-final one.
+    per letter, a finality flag per state, and block, the Nerode class
+    of each state, its m classes numbered by first state (as _refine
+    returns them).
 
-    Moore refinement numbers each class by its first state.  BFS with
-    letters in alphabet order meets states in shortlex order of their
-    least access words, so that numbering is the quotient's own BFS
-    order, the initial class at 0: the result is canonical.
+    BFS with letters in alphabet order meets states in shortlex order
+    of their least access words, so that numbering is the quotient's
+    own BFS order, the initial class at 0: the result is canonical.
     """
-    block, m = _refine(rows, block)
     rep = {b: i for i, b in enumerate(block)}  # one state per class
     delta = {a: [block[row[rep[b]]] for b in range(m)] for a, row in zip(alphabet, rows)}
     return Dfa(m, alphabet, delta, 0, [b for b in range(m) if final[rep[b]]])
@@ -384,7 +379,7 @@ def minimize(d: Dfa) -> Dfa:
     """Minimal DFA of the same language, in canonical (BFS) numbering:
     the quotient of d's reachable part, refined from finality."""
     rows, final = _rows(d)
-    return _quotient(d.alphabet, rows, final, final)
+    return _quotient(d.alphabet, rows, final, *_refine(rows, final))
 
 
 def quotient_complexity(d: Dfa) -> int:

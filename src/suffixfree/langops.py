@@ -6,9 +6,9 @@ Every operation returns a minimized, canonically numbered DFA, the
 quotient of its construction's BFS rows (automata._quotient); no raw DFA
 is built.  The *_full variants additionally report the construction's
 state count, which is useful when tracing subset-construction
-reachability.  Star, concatenation and reversal refine from the Nerode
-partition of their subset construction, which a second, reversed one
-gives (automata._nerode_seed), so Moore refinement only confirms it.
+reachability.  Star, concatenation and reversal read each subset's
+Nerode class in their construction's own pass (automata._minimal_subset_dfa),
+so Moore refinement runs only when the reversed run behind it is cut off.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
-    Dfa, _mask, _minimal_subset_dfa, _preimages, _quotient, _subsets)
+    Dfa, _mask, _minimal_subset_dfa, _preimages, _quotient, _refine, _subsets)
 
 
 class BooleanOp(Enum):
@@ -169,7 +169,7 @@ def boolean_full(d1: Dfa, d2: Dfa, op: BooleanOp) -> OpResult:
                 order.append(nxt)
             row.append(index[nxt])
     final = [rule(p in d1.finals, q in d2.finals) for p, q in order]
-    return OpResult(_quotient(alphabet, rows, final, final), len(order))
+    return OpResult(_quotient(alphabet, rows, final, *_refine(rows, final)), len(order))
 
 
 def boolean(d1: Dfa, d2: Dfa, op: BooleanOp) -> Dfa:

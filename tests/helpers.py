@@ -7,9 +7,11 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import NamedTuple
 
+from suffixfree import automata
 from suffixfree.atoms import _atom_bases, _basis_mask
 from suffixfree.automata import (
-    Dfa, Transformation, _chunk_tables, _mask, _quotient, _transpose, minimize)
+    Dfa, Transformation, _chunk_tables, _mask, _quotient, _refine, _subsets, _transpose,
+    minimize)
 from suffixfree.langops import BooleanOp, boolean
 from suffixfree.semigroups import (
     BSF, VSF, WSF, TransitionSemigroup, _close, colliding_pairs, enumerate_class,
@@ -242,6 +244,30 @@ def reference_determinize(n: Nfa) -> Dfa:
                [i for i, s in enumerate(order) if s & n.finals])
 
 
+def reference_nerode_seed(order: list, tables: list, finals: int) -> list:
+    """The labels that automata._minimal_subset_dfa reads in its forward
+    _subsets pass, read instead by a second pass over the subsets of
+    that run: for each subset, the set of P_w it meets, numbered by
+    first appearance, where the P_w are the subsets that the reversed
+    run through the transposed tables reaches from finals within
+    automata._SEED_SUBSETS expansions.  Their own column tables read
+    that set in one lookup per chunk."""
+    if not tables:
+        return [0]  # no letters: the start is the only subset
+    k = len(tables[0])
+    found, _ = _subsets(finals, [_transpose(t, k) for t in tables],
+                        automata._SEED_SUBSETS)
+    low, chunks = _chunk_tables([_transpose(found, k)])
+    classes: dict = {}
+    seed = []
+    for s in order:
+        sig = 0
+        for shift, chunk in chunks:
+            sig |= chunk[s >> shift & low]
+        seed.append(classes.setdefault(sig, len(classes)))
+    return seed
+
+
 def _dfa_triples(d: Dfa, off: int = 0) -> list:
     return [(off + q, a, off + d.delta[a][q])
             for a in d.alphabet for q in range(d.state_count)]
@@ -382,7 +408,7 @@ def atom_dfa(d: Dfa, basis) -> Dfa:
     the bitmask pair construction; the oracle that atoms.atom_complexity
     counts the states of without building it."""
     rows, final = _atom_pairs(d, basis)
-    return _quotient(d.alphabet, rows, final, final)
+    return _quotient(d.alphabet, rows, final, *_refine(rows, final))
 
 
 def is_atom(d: Dfa, basis) -> bool:

@@ -5,13 +5,14 @@ import tracemalloc
 
 import pytest
 
-from suffixfree import langops
+from suffixfree import automata, langops
 from suffixfree.automata import (
     Dfa,
     Transformation,
     _mask,
     _rows,
     _subsets,
+    _transpose,
     compose,
     minimize,
     quotient_complexity,
@@ -30,6 +31,7 @@ from helpers import (
     reference_determinize,
     reference_is_suffix_free,
     reference_minimize,
+    reference_nerode_seed,
     reference_reverse_nfa,
     reference_star_nfa,
     reference_subsets,
@@ -204,10 +206,10 @@ def _tables(n) -> list:
 
 
 def _assert_subsets_match_reference(n) -> None:
-    order, rows = _subsets(_mask(n.initials), _tables(n))
+    # Without a column, the kernel returns the subsets and rows alone.
     reference_order, reference_rows = reference_subsets(n)
-    assert order == [_mask(s) for s in reference_order]
-    assert rows == reference_rows
+    assert _subsets(_mask(n.initials), _tables(n)) == (
+        [_mask(s) for s in reference_order], reference_rows)
 
 
 def _singleton_run(d: Dfa) -> Dfa:
@@ -248,6 +250,38 @@ def test_determinize_matches_reference_across_chunk_boundaries():
         for letters in range(4):
             for _ in range(10):
                 _assert_subsets_match_reference(random_nfa(rng, size, letters))
+
+
+def _fused_labels(start: int, tables: list, finals: int) -> tuple:
+    """The subsets of the kernel run from start and the labels it reads
+    under the column of the P_w that the reversed run from finals finds
+    within automata._SEED_SUBSETS expansions, and how many it found.
+    The column changes neither the subsets nor the rows."""
+    k = len(tables[0])
+    found, _ = _subsets(finals, [_transpose(t, k) for t in tables],
+                        automata._SEED_SUBSETS)
+    order, rows, labels, count = _subsets(start, tables, column=_transpose(found, k))
+    assert (order, rows) == _subsets(start, tables)
+    assert count == len(set(labels))
+    return order, labels, len(found)
+
+
+def test_fused_labels_match_the_two_pass_reference(monkeypatch):
+    # Sizes on both sides of the 12- and 24-state chunk boundaries, and
+    # reversed runs cut off after 1, 2 and 64 subsets.
+    rng = random.Random(20)
+    cut_off = []
+    for cut in (1, 2, 64):
+        monkeypatch.setattr(automata, "_SEED_SUBSETS", cut)
+        for size in (12, 13, 24, 25):
+            for letters in (1, 2, 3):
+                for _ in range(8):
+                    n = random_nfa(rng, size, letters)
+                    tables, finals = _tables(n), _mask(n.finals)
+                    order, labels, count = _fused_labels(_mask(n.initials), tables, finals)
+                    assert labels == reference_nerode_seed(order, tables, finals)
+                    cut_off.append(count > cut)
+    assert any(cut_off) and not all(cut_off)
 
 
 def _cycle_dfa(n: int) -> Dfa:

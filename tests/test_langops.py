@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from suffixfree.langops import (
     star_full,
 )
 from suffixfree.semigroups import BSF, is_subsemigroup_of, transition_semigroup
+from suffixfree.verify import MEASURES
 from suffixfree.witnesses import binary_product_pair, d5, d6
 
 from helpers import (
@@ -39,6 +41,7 @@ from helpers import (
     reference_determinize,
     reference_is_suffix_free,
     reference_minimize,
+    reference_nerode_seed,
     reference_reverse_nfa,
     reference_star_nfa,
 )
@@ -229,80 +232,149 @@ def test_ops_match_the_minimized_reference_construction():
     _check_against_reference()
 
 
-def test_ops_match_the_reference_when_the_seed_is_cut_off(monkeypatch):
-    # With one reversed subset expanded, the seed tells subsets apart by
-    # words of length at most 1, and Moore refinement finishes the rest.
-    monkeypatch.setattr(automata, "_SEED_SUBSETS", 1)
-    missing = []
-    real = automata._quotient
+def _constructions(monkeypatch, run) -> list:
+    """Calls run() and returns, for each _minimal_subset_dfa call it
+    makes, the call's arguments and, for each _refine run in it, how
+    many classes that run added to the labels it started from."""
+    calls, current = [], []
+    real, refine = langops._minimal_subset_dfa, automata._refine
 
-    def spy(alphabet, rows, final, block):
-        out = real(alphabet, rows, final, block)
-        missing.append(out.state_count - len(set(block)))
+    def spy(*args):
+        calls.append((args, []))
+        current.append(calls[-1][1])
+        try:
+            return real(*args)
+        finally:
+            current.pop()
+
+    def refine_spy(succ, block):
+        out = refine(succ, block)
+        if current:
+            current[-1].append(out[1] - len(set(block)))
         return out
 
-    monkeypatch.setattr(automata, "_quotient", spy)
-    _check_against_reference()
-    assert max(missing) > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(langops, "_minimal_subset_dfa", spy)
+        patch.setattr(automata, "_refine", refine_spy)
+        run()
+    return calls
+
+
+def test_ops_match_the_reference_when_the_seed_is_cut_off(monkeypatch):
+    # With one reversed subset expanded, the labels tell subsets apart by
+    # words of length at most 1, and Moore refinement finishes the rest.
+    monkeypatch.setattr(automata, "_SEED_SUBSETS", 1)
+    calls = _constructions(monkeypatch, _check_against_reference)
+    assert max(max(added, default=0) for _, added in calls) > 0
 
 
 def _seeded_runs(monkeypatch) -> list:
     """Star of d5(12), the binary product (9, 10) and reversal of
     d6(11), each with the arguments of its _minimal_subset_dfa call, the
-    raw subset DFA and subsets of that run, the partition its refinement
-    started from, and the result."""
-    calls, blocks = [], []
-    real, quotient = langops._minimal_subset_dfa, automata._quotient
+    raw subset DFA, subsets and rows of that run, the partition its
+    quotient was built from, and the result."""
+    blocks, results = [], []
+    quotient = automata._quotient
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    def quotient_spy(alphabet, rows, final, block):
+    def quotient_spy(alphabet, rows, final, block, m):
         blocks.append(block)
-        return quotient(alphabet, rows, final, block)
+        return quotient(alphabet, rows, final, block, m)
 
-    monkeypatch.setattr(langops, "_minimal_subset_dfa", spy)
-    monkeypatch.setattr(automata, "_quotient", quotient_spy)
-    results = [star_full(d5(12)), concat_full(*binary_product_pair(9, 10)),
-               reverse_full(d6(11))]
-    monkeypatch.undo()
+    def run():
+        results.extend([star_full(d5(12)), concat_full(*binary_product_pair(9, 10)),
+                        reverse_full(d6(11))])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(automata, "_quotient", quotient_spy)
+        calls = _constructions(monkeypatch, run)
     runs = []
-    for args, block, result in zip(calls, blocks, results):
+    for (args, _), block, result in zip(calls, blocks, results):
         alphabet, start, tables, finals = args
         order, rows = _subsets(start, tables)
         raw = Dfa(len(order), alphabet, dict(zip(alphabet, rows)), 0,
                   [i for i, s in enumerate(order) if s & finals])
-        runs.append((args, raw, order, block, result))
+        runs.append((args, raw, order, rows, block, result))
     return runs
 
 
 def test_a_finished_reversed_construction_seeds_the_nerode_partition(monkeypatch):
-    for args, raw, order, block, result in _seeded_runs(monkeypatch):
+    for args, raw, order, rows, block, result in _seeded_runs(monkeypatch):
         _, _, tables, finals = args
         k = len(tables[0])
         found, _ = _subsets(finals, [_transpose(t, k) for t in tables],
                             automata._SEED_SUBSETS)
         assert len(found) <= automata._SEED_SUBSETS
-        seed = automata._nerode_seed(order, tables, finals)
+        seed = reference_nerode_seed(order, tables, finals)
         assert len(set(seed)) == quotient_complexity(raw) == result.dfa.state_count
         assert block == seed
+        # Moore leaves it as it is, so skipping refinement changes nothing.
+        assert automata._refine(rows, seed) == (seed, len(set(seed)))
 
 
 def test_a_coarser_seed_gives_the_same_minimal_dfa(monkeypatch):
     # Merging two seed classes of the same finality leaves a partition
     # between finality and Nerode's, which refinement splits again.
-    for args, _, order, _, result in _seeded_runs(monkeypatch):
-        _, _, tables, finals = args
-        seed = automata._nerode_seed(order, tables, finals)
+    for args, _, order, rows, _, result in _seeded_runs(monkeypatch):
+        alphabet, _, tables, finals = args
+        seed = reference_nerode_seed(order, tables, finals)
         final = dict(zip(seed, (bool(s & finals) for s in order)))
         keep, drop = [c for c in final if final[c] == final[seed[-1]]][-2:]
         merged = [keep if c == drop else c for c in seed]
         assert len(set(merged)) == len(set(seed)) - 1
-        monkeypatch.setattr(automata, "_nerode_seed", lambda *_: merged)
-        again = automata._minimal_subset_dfa(*args)
-        monkeypatch.undo()
-        assert again == (result.dfa, result.raw_states)
+        flags = [bool(s & finals) for s in order]
+        again = automata._quotient(alphabet, rows, flags, *automata._refine(rows, merged))
+        assert (again, len(order)) == (result.dfa, result.raw_states)
+
+
+def test_fused_labels_match_the_reference_where_the_column_is_wider_than_k(monkeypatch):
+    # On the binary product the reversed run finds more sets P_w than
+    # the construction has states, so the column is the widest field.
+    for m, n in ((9, 10), (10, 11)):
+        [(args, _)] = _constructions(
+            monkeypatch, lambda: concat_full(*binary_product_pair(m, n)))
+        _, start, tables, finals = args
+        k = len(tables[0])
+        found, _ = _subsets(finals, [_transpose(t, k) for t in tables],
+                            automata._SEED_SUBSETS)
+        assert k < len(found) <= automata._SEED_SUBSETS
+        order, _, labels, count = _subsets(start, tables, column=_transpose(found, k))
+        assert labels == reference_nerode_seed(order, tables, finals)
+        assert count == len(set(labels))
+
+
+def _grid():
+    """Star, product and reversal on constructions of 10^3-10^4
+    subsets: the calls of the benchmark's subset workload."""
+    for n in (12, 13, 14):
+        star_full(d5(n, "a,b,-"))
+    for m in (8, 9, 10):
+        for n in (8, 9, 10):
+            concat_full(d5(m), d5(n, "b,c,a"))
+    for m in (9, 10, 11):
+        for n in (9, 10, 11):
+            if math.gcd(m - 2, n - 2) == 1:
+                concat_full(*binary_product_pair(m, n))
+    for n in (11, 12, 13):
+        reverse_full(d6(n, "a,-,c,-,e"))
+
+
+def _sweeps():
+    for name in ("star", "product", "product-binary", "reversal"):
+        run, _, sweep = MEASURES[name]
+        for args in sweep:
+            run(*args)
+
+
+def test_refinement_runs_only_when_the_reversed_run_is_cut_off(monkeypatch):
+    grid = _constructions(monkeypatch, _grid)
+    sweeps = _constructions(monkeypatch, _sweeps)
+    assert len(grid) == 21 and len(sweeps) == 13
+    assert [added for _, added in grid + sweeps] == [[]] * 34
+    # Cut off after one subset, each reversed run leaves classes that
+    # one refinement must split.
+    monkeypatch.setattr(automata, "_SEED_SUBSETS", 1)
+    cut = [added for _, added in _constructions(monkeypatch, _sweeps)]
+    assert len(cut) == 13 and all(len(added) == 1 and added[0] > 0 for added in cut)
 
 
 # ---------------------------------------------------------------------------
