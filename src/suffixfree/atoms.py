@@ -19,13 +19,6 @@ from .automata import (
 from .semigroups import _components, semigroup_size
 
 
-def _basis_mask(d: Dfa, basis) -> int:
-    basis = frozenset(basis)
-    if any(not 0 <= q < d.state_count for q in basis):
-        raise ValueError("basis must be a subset of the state set")
-    return _mask(basis)
-
-
 def _atom_bases(d: Dfa) -> list:
     """The atom bases of d as masks, in the order one reversed subset
     construction from the finals reaches them (see atoms)."""
@@ -54,97 +47,91 @@ def _atom_complexities(d: Dfa) -> tuple:
     images of S and Y those of its complement, packed into one key
     Y << n | X; a pair whose parts collide goes to the sink, kept as
     (Q, Q).  The pair (X, Y) accepts the union of the atoms whose basis
-    holds X and misses Y.  Atoms are non-empty and disjoint, so two
-    pairs are equivalent exactly when they admit the same atoms, and the
-    quotient complexity is the number of distinct admitted sets over the
-    pairs reachable from S's start pair: neither transition rows nor
-    refinement are needed.  The sink admits no atom.
+    holds X and misses Y.  Atoms are non-empty and disjoint, so the
+    complexity is the number of distinct admitted sets, or barred sets
+    (their complements), over the pairs reachable from S's start pair.
 
-    Neither a pair's successors nor the atoms it admits depend on the
-    basis that reached it (Brzozowski and Tamm, "Theory of atomata", TCS
-    539, 2014), so all the bases asked for share one pair graph, built
-    by one BFS from their start pairs.  Each of its strongly connected
-    components gets one bitset over the distinct barred sets (the
-    complements of the admitted ones): those of its own pairs ORed with
-    the bitsets of the components its edges enter.  _components
-    completes a component after every one it reaches, so one pass in
-    that order fills them, and a basis's complexity is the popcount of
-    its start pair's bitset.  With a single basis every pair of the
-    graph is reachable from its start pair, so its count is the number
-    of distinct barred sets; the edge lists and components are skipped,
-    and the edge lists look each pair up again after the BFS so that a
-    single basis builds none of them.
+    A pair's successors and barred set do not depend on the basis that
+    reached it (Brzozowski and Tamm, "Theory of atomata", TCS 539,
+    2014), so all the bases share one BFS from their start pairs.  It
+    numbers the pairs and keeps each one's successor numbers and the
+    number of its barred set.  Each strongly connected component's
+    bitset holds the barred sets of its pairs and of the components it
+    enters, which _components completes first; a basis's complexity is
+    the popcount of its start pair's.  A single basis reaches every pair
+    its BFS meets, so it counts their barred sets and numbers nothing.
     """
     n = d.state_count
     bases = _atom_bases(d)
     full = (1 << n) - 1
     sink = full << n | full
-    k = 2 * n
-    top = len(d.alphabet) * k
+    k, top = 2 * n, 2 * n * len(d.alphabet)
     # Column q of X (of Y) holds, in the low (high) half of one 2n-bit
     # field per letter, q's image; above the fields, the atoms that miss
-    # q (that hold q).  The OR of one lookup per chunk of X and of Y is
-    # then the pair's successor under every letter and the atoms it bars.
+    # q (that hold q).  The OR of one lookup per chunk of the key is the
+    # pair's successor under every letter and the atoms it bars.  X's last
+    # chunk, if narrower than the others, repeats its table to skip Y's bits.
     holds = _transpose(bases, n)
     every = (1 << len(bases)) - 1
-    xcols = [(every ^ h) << top for h in holds]
-    ycols = [h << top for h in holds]
-    for j, a in enumerate(d.alphabet):
-        at = j * k
+    xcols, ycols = [(every ^ h) << top for h in holds], [h << top for h in holds]
+    for at, a in zip(range(0, top, k), d.alphabet):
         for q, r in enumerate(d.delta[a]):
             xcols[q] |= 1 << at + r
             ycols[q] |= 1 << at + n + r
-    xlow, xchunks = _chunk_tables([xcols])
-    ylow, ychunks = _chunk_tables([ycols])
-    letters = range(len(d.alphabet))
+    low, xchunks = _chunk_tables([xcols])
+    chunks = [(shift, chunk * ((low + 1) // len(chunk))) for shift, chunk in xchunks]
+    chunks += [(n + shift, chunk) for shift, chunk in _chunk_tables([ycols])[1]]
 
     def complexities(masks) -> dict:
         starts = {b: (full ^ b) << n | b for b in masks}
-        order = list(starts.values())
-        seen = set(order)
-        barred = set()
-        for state in order:
-            x, y = state & full, state >> n
-            packed = 0
-            for shift, chunk in xchunks:
-                packed |= chunk[x >> shift & xlow]
-            for shift, chunk in ychunks:
-                packed |= chunk[y >> shift & ylow]
-            for _ in letters:
-                nxt = packed & sink
-                packed >>= k
-                if nxt & nxt >> n:  # X and Y collide
-                    nxt = sink
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-            barred.add(packed)
         if len(starts) == 1:
+            order = list(starts.values())
+            seen, barred = set(order), set()
+            for state in order:
+                packed = 0
+                for shift, chunk in chunks:
+                    packed |= chunk[state >> shift & low]
+                for _ in d.alphabet:
+                    nxt = packed & sink
+                    packed >>= k
+                    if nxt & nxt >> n:  # X and Y collide
+                        nxt = sink
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        order.append(nxt)
+                barred.add(packed)
             return dict.fromkeys(starts, len(barred))
-        ids = {bars: i for i, bars in enumerate(barred)}
-        edges, own = {}, {}
+        index = {s: i for i, s in enumerate(starts.values())}
+        order, succ, own, ids = list(index), [], [], {}
         for state in order:
-            x, y = state & full, state >> n
             packed = 0
-            for shift, chunk in xchunks:
-                packed |= chunk[x >> shift & xlow]
-            for shift, chunk in ychunks:
-                packed |= chunk[y >> shift & ylow]
-            out = edges[state] = []
-            for j in letters:
+            for shift, chunk in chunks:
+                packed |= chunk[state >> shift & low]
+            row = []
+            for _ in d.alphabet:
                 nxt = packed & sink
                 packed >>= k
-                out.append((j, sink if nxt & nxt >> n else nxt))
-            own[state] = ids[packed]
-        label = _components(order, edges)
-        reach = {}
+                if nxt & nxt >> n:
+                    nxt = sink
+                i = index.get(nxt)
+                if i is None:
+                    i = index[nxt] = len(order)
+                    order.append(nxt)
+                row.append(i)
+            succ.append(row)
+            own.append(ids.setdefault(packed, len(ids)))
+        label = _components(range(len(starts)), succ)
+        reach, bits, into = {}, bytearray(len(ids) + 7 >> 3), set()
         for v, root in label.items():
-            bits = reach.get(root, 0) | 1 << own[v]
-            for _, w in edges[v]:
-                if label[w] != root:
-                    bits |= reach[label[w]]
-            reach[root] = bits
-        return {b: reach[label[s]].bit_count() for b, s in starts.items()}
+            bits[own[v] >> 3] |= 1 << (own[v] & 7)
+            into.update(map(label.__getitem__, succ[v]))
+            if v == root:  # a component's root completes it
+                total = int.from_bytes(bits, "little")
+                for r in into - {root}:
+                    total |= reach[r]
+                reach[root] = total
+                bits, into = bytearray(len(bits)), set()
+        return {b: reach[label[index[s]]].bit_count() for b, s in starts.items()}
 
     return bases, complexities
 
@@ -152,7 +139,9 @@ def _atom_complexities(d: Dfa) -> tuple:
 def atom_complexity(d: Dfa, basis) -> int:
     """Quotient complexity of the atom with the given basis."""
     basis = frozenset(basis)
-    b = _basis_mask(d, basis)
+    if any(not 0 <= q < d.state_count for q in basis):
+        raise ValueError("basis must be a subset of the state set")
+    b = _mask(basis)
     bases, complexities = _atom_complexities(d)
     if b not in bases:
         raise ValueError(f"{sorted(basis)} is not an atom basis: "

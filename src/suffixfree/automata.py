@@ -10,7 +10,7 @@ and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable, Mapping, Sequence
 
 
@@ -99,7 +99,8 @@ class Dfa:
         finals = frozenset(finals)
         if type(initial) is not int or not 0 <= initial < state_count:
             raise ValueError(f"initial state must be an int in range, got {initial!r}")
-        if any(type(f) is not int or not 0 <= f < state_count for f in finals):
+        if finals and not ({int}.issuperset(map(type, finals))
+                           and 0 <= min(finals) and max(finals) < state_count):
             raise ValueError(f"final states must be ints in range: {finals!r}")
         object.__setattr__(self, "state_count", state_count)
         object.__setattr__(self, "alphabet", alphabet)
@@ -370,9 +371,13 @@ def _quotient(alphabet: tuple, rows: list, final: list, block: list, m: int) -> 
     of their least access words, so that numbering is the quotient's
     own BFS order, the initial class at 0: the result is canonical.
     """
-    rep = {b: i for i, b in enumerate(block)}  # one state per class
-    delta = {a: [block[row[rep[b]]] for b in range(m)] for a, row in zip(alphabet, rows)}
-    return Dfa(m, alphabet, delta, 0, [b for b in range(m) if final[rep[b]]])
+    # One state per class, in class order; images < m need no check.  A
+    # tuple grown from an iterator would pin free-list memory, so list it.
+    rep = dict(zip(block, range(len(block)))).values()
+    image = block.__getitem__
+    delta = {a: tuple.__new__(Transformation, [*map(image, map(row.__getitem__, rep))])
+             for a, row in zip(alphabet, rows)}
+    return Dfa(m, alphabet, delta, 0, compress(range(m), map(final.__getitem__, rep)))
 
 
 def minimize(d: Dfa) -> Dfa:

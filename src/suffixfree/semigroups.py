@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from itertools import chain, combinations, product
+from itertools import chain, combinations, count, product
 from math import factorial
 
 from .automata import BudgetError, Dfa, Transformation, minimize
@@ -267,37 +267,40 @@ def generate(degree: int, generators, names=None,
     return TransitionSemigroup._of_bytes(degree, elements, named)
 
 
-def _components(nodes, edges) -> dict:
+def _components(nodes, succ) -> dict:
     """Strongly connected components by Tarjan's algorithm, without
-    recursion.  edges[v] holds a pair (_, w) for each edge v -> w, and
-    each such w is in nodes.  Returns a dict from each node to the node
-    that roots its component."""
-    number, low, label = {}, {}, {}
-    stack = []
+    recursion, of the graph on 0..len(succ)-1 with edges v -> w for w in
+    succ[v].  Returns a dict from each node reachable from nodes to its
+    component's root, filled as components complete: each after every
+    one it reaches, its root last."""
+    # low[v] is 0 until v is met, and done once its component completes.
+    low, done, numbers = [0] * len(succ), len(succ) + 1, count(1)
+    label, stack = {}, []
     for start in nodes:
-        if start in number:
+        if low[start]:
             continue
-        number[start] = low[start] = len(number)
+        low[start] = number = next(numbers)
         stack.append(start)
-        path = [(start, iter(edges[start]))]
+        path = [(start, iter(succ[start]), number)]
         while path:
-            v, out = path[-1]
-            for _, w in out:
-                if w not in number:
-                    number[w] = low[w] = len(number)
+            v, out, number = path[-1]
+            for w in out:
+                if not low[w]:
+                    low[w] = number = next(numbers)
                     stack.append(w)
-                    path.append((w, iter(edges[w])))
+                    path.append((w, iter(succ[w]), number))
                     break
-                if w not in label and number[w] < low[v]:
-                    low[v] = number[w]
+                if low[w] < low[v]:
+                    low[v] = low[w]
             else:
                 path.pop()
                 if path and low[v] < low[path[-1][0]]:
                     low[path[-1][0]] = low[v]
-                if low[v] == number[v]:
+                if low[v] == number:
                     w = None
                     while w != v:
                         w = stack.pop()
+                        low[w] = done
                         label[w] = v
     return label
 
@@ -435,7 +438,10 @@ def semigroup_size(degree: int, generators) -> int:
                 if len(y) == len(x):
                     out.append((table, node[y]))
             edges[i] = out
-        label = _components(level, edges)
+        succ = [()] * len(points)
+        for i in level:
+            succ[i] = [j for _, j in edges[i]]
+        label = _components(level, succ)
         for r in level:
             if r in back:
                 continue

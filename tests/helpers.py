@@ -8,7 +8,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from suffixfree import automata
-from suffixfree.atoms import _atom_bases, _basis_mask
+from suffixfree.atoms import _atom_bases
 from suffixfree.automata import (
     Dfa, Transformation, _chunk_tables, _mask, _quotient, _refine, _subsets, _transpose,
     minimize)
@@ -360,6 +360,14 @@ def _reference_atom_reachable(d: Dfa, basis: frozenset):
         if state != "bottom" and state[0] <= d.finals and not (state[1] & d.finals)
     )
     return order, rows, finals
+
+
+def _basis_mask(d: Dfa, basis) -> int:
+    """The mask of basis, checked as atom_complexity checks it."""
+    basis = frozenset(basis)
+    if any(not 0 <= q < d.state_count for q in basis):
+        raise ValueError("basis must be a subset of the state set")
+    return _mask(basis)
 
 
 def _atom_pairs(d: Dfa, basis) -> tuple:

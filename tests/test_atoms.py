@@ -201,6 +201,18 @@ def test_shared_pair_graph_matches_one_bfs_per_basis_on_random_dfas():
                 assert counts[b] == quotient_complexity(atom_dfa(d, basis))
 
 
+def test_shared_pair_graph_matches_one_bfs_per_basis_across_chunks():
+    # 13 and 25 states cut X and Y into two and three chunks, the last
+    # chunk of X narrower than the others, so its lookup also reads bits
+    # of Y.
+    rng = random.Random(89)
+    for n in (13, 25):
+        d = random_dfa(rng, n, 2)
+        bases, complexities = _atom_complexities(d)
+        masks = rng.sample(bases, min(6, len(bases)))
+        assert complexities(masks) == {b: reference_atom_complexity(d, b) for b in masks}
+
+
 def test_one_basis_counts_only_the_pairs_it_reaches(monkeypatch):
     # With one start pair every pair the BFS meets is reachable from it,
     # so the count skips the components; the other bases' pairs would

@@ -134,9 +134,10 @@ def test_dfa_state_numbers_must_be_ints():
     for initial in (0.0, False):
         with pytest.raises(ValueError, match="initial"):
             Dfa(2, ["a"], {"a": [1, 0]}, initial, [1])
-    for final in (1.0, True):
-        with pytest.raises(ValueError, match="final"):
-            Dfa(2, ["a"], {"a": [1, 0]}, 0, [final])
+    for finals in ([1.0], [True], [1, "0"], [-1], [0, 2]):
+        with pytest.raises(ValueError, match="final states must be ints in range"):
+            Dfa(2, ["a"], {"a": [1, 0]}, 0, finals)
+    assert Dfa(2, ["a"], {"a": [1, 0]}, 0, []).finals == frozenset()
 
 
 def test_alphabet_letters_must_be_non_empty_strings():

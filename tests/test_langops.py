@@ -232,6 +232,16 @@ def test_ops_match_the_minimized_reference_construction():
     _check_against_reference()
 
 
+def test_quotients_pass_the_validating_constructor():
+    # _quotient hands Dfa its rows as Transformations unchecked; every
+    # DFA it builds must come back unchanged through from_dict.
+    for d, e in _reference_cases():
+        for m in (minimize(d), star(d), reverse(d), concat(d, e),
+                  *(boolean(d, e, op) for op in BooleanOp)):
+            assert all(type(t) is Transformation for t in m.delta.values())
+            assert Dfa.from_dict(m.to_dict()) == m
+
+
 def _constructions(monkeypatch, run) -> list:
     """Calls run() and returns, for each _minimal_subset_dfa call it
     makes, the call's arguments and, for each _refine run in it, how

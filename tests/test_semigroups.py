@@ -535,6 +535,55 @@ def test_group_exceeds_stops_early_on_a_large_symmetric_group():
     assert time.perf_counter() - start < 2
 
 
+def _reachable(succ: list, v: int) -> set:
+    seen, todo = {v}, [v]
+    while todo:
+        for w in succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def test_components_match_mutual_reachability():
+    # Seeded random graphs with self-loops, start sets that leave some
+    # nodes to be entered only from outside them and some unreached, and
+    # the empty graph.
+    rng = random.Random(2103)
+    graphs = [([], [])]
+    for _ in range(200):
+        size = rng.randint(1, 25)
+        succ = [[rng.randrange(size) for _ in range(rng.randint(0, 3))]
+                for _ in range(size)]
+        for v in rng.sample(range(size), rng.randint(0, size)):
+            succ[v].append(v)
+        graphs.append((rng.sample(range(size), rng.randint(1, size)), succ))
+    entered, unreached = 0, 0
+    for nodes, succ in graphs:
+        label = semigroups._components(nodes, succ)
+        reach = [_reachable(succ, v) for v in range(len(succ))]
+        met = set().union(*(reach[v] for v in nodes))
+        assert set(label) == met
+        entered += bool(met - set(nodes))
+        unreached += len(met) < len(succ)
+        for v in met:
+            for w in met:
+                assert (label[v] == label[w]) == (w in reach[v] and v in reach[w])
+        # Each component's members come in one run, its root last, and
+        # only after every component it reaches.
+        order = list(label)
+        first = {}
+        for i, v in enumerate(order):
+            first.setdefault(label[v], i)
+            assert (v == label[v]) == (i + 1 == len(order) or label[order[i + 1]] != label[v])
+        for v in met:
+            assert first[label[v]] <= order.index(v) <= order.index(label[v])
+            for w in reach[v]:
+                if label[w] != label[v]:
+                    assert order.index(label[w]) < first[label[v]]
+    assert entered and unreached
+
+
 # ---------------------------------------------------------------------------
 # class membership of whole semigroups
 
