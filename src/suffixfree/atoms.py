@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .automata import (
-    Dfa, _chunk_tables, _mask, _preimages, _subsets, _transpose, minimize,
+    Dfa, _chunk_tables, _mask, _preimages, _subsets, _transpose,
     quotient_complexity)
-from .semigroups import _components, semigroup_size
+from .semigroups import _components, _letter_maps, semigroup_size
 
 
 def _atom_bases(d: Dfa) -> list:
@@ -59,7 +59,8 @@ def _atom_complexities(d: Dfa) -> tuple:
     bitset holds the barred sets of its pairs and of the components it
     enters, which _components completes first; a basis's complexity is
     the popcount of its start pair's.  A single basis reaches every pair
-    its BFS meets, so it counts their barred sets and numbers nothing.
+    the BFS numbers, so its complexity is the number of distinct barred
+    sets, read with no component pass.
     """
     n = d.state_count
     bases = _atom_bases(d)
@@ -84,23 +85,6 @@ def _atom_complexities(d: Dfa) -> tuple:
 
     def complexities(masks) -> dict:
         starts = {b: (full ^ b) << n | b for b in masks}
-        if len(starts) == 1:
-            order = list(starts.values())
-            seen, barred = set(order), set()
-            for state in order:
-                packed = 0
-                for shift, chunk in chunks:
-                    packed |= chunk[state >> shift & low]
-                for _ in d.alphabet:
-                    nxt = packed & sink
-                    packed >>= k
-                    if nxt & nxt >> n:  # X and Y collide
-                        nxt = sink
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        order.append(nxt)
-                barred.add(packed)
-            return dict.fromkeys(starts, len(barred))
         index = {s: i for i, s in enumerate(starts.values())}
         order, succ, own, ids = list(index), [], [], {}
         for state in order:
@@ -111,7 +95,7 @@ def _atom_complexities(d: Dfa) -> tuple:
             for _ in d.alphabet:
                 nxt = packed & sink
                 packed >>= k
-                if nxt & nxt >> n:
+                if nxt & nxt >> n:  # X and Y collide
                     nxt = sink
                 i = index.get(nxt)
                 if i is None:
@@ -120,6 +104,8 @@ def _atom_complexities(d: Dfa) -> tuple:
                 row.append(i)
             succ.append(row)
             own.append(ids.setdefault(packed, len(ids)))
+        if len(starts) == 1:  # one start reaches every numbered pair
+            return dict.fromkeys(starts, len(ids))
         label = _components(range(len(starts)), succ)
         reach, bits, into = {}, bytearray(len(ids) + 7 >> 3), set()
         for v, root in label.items():
@@ -139,8 +125,10 @@ def _atom_complexities(d: Dfa) -> tuple:
 def atom_complexity(d: Dfa, basis) -> int:
     """Quotient complexity of the atom with the given basis."""
     basis = frozenset(basis)
-    if any(not 0 <= q < d.state_count for q in basis):
-        raise ValueError("basis must be a subset of the state set")
+    if not ({int}.issuperset(map(type, basis))
+            and all(0 <= q < d.state_count for q in basis)):
+        raise ValueError(f"basis must be a set of int states in "
+                         f"0..{d.state_count - 1}: {set(basis)!r}")
     b = _mask(basis)
     bases, complexities = _atom_complexities(d)
     if b not in bases:
@@ -172,6 +160,8 @@ def suffix_free_atom_bound(n: int, basis) -> int:
     basis = frozenset(basis)
     if type(n) is not int or n < 4:
         raise ValueError(f"bounds apply for int n >= 4, not n = {n!r}")
+    if not {int}.issuperset(map(type, basis)):
+        raise ValueError(f"basis states must be ints: {set(basis)!r}")
     outside = sorted(q for q in basis if not 0 <= q < n)
     if outside:
         raise ValueError(f"basis states {outside} lie outside 0..{n - 1}")
@@ -189,8 +179,7 @@ def syntactic_complexity(d: Dfa) -> int:
     """Cardinality of the syntactic (= transition) semigroup of the
     minimal DFA of d's language, counted by semigroup_size over its
     letter maps."""
-    m = minimize(d)
-    return semigroup_size(m.state_count, [m.delta[a] for a in m.alphabet])
+    return semigroup_size(*_letter_maps(d))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .verify import (
     verify_all,
 )
 from .atoms import atom_complexity, atom_report, atoms as atoms_of
-from .automata import BudgetError, Dfa, minimize
+from .automata import BudgetError, Dfa
 from .langops import (
     BooleanOp,
     boolean,
@@ -38,7 +38,7 @@ from .semigroups import (
     VSF,
     WSF,
     _generated_in,
-    _sink_last,
+    _letter_maps,
     colliding_pairs,
     focused_pairs,
     generate,
@@ -228,14 +228,6 @@ BUDGET_ELEMENTS = click.option(
     help="abort if the semigroup exceeds this many elements")
 
 
-def _generators(d: Dfa) -> tuple:
-    """The state count and letter maps of the minimal DFA of d's
-    language, its empty state numbered last: the degree and generators
-    of its transition semigroup."""
-    m = _sink_last(minimize(d))
-    return m.state_count, [m.delta[a] for a in m.alphabet]
-
-
 def _cardinality(degree: int, gens: list, budget: int) -> int:
     """The size of the semigroup gens generate, counted by R-classes
     (semigroup_size) without listing it.  A count that would pass its
@@ -262,7 +254,7 @@ def _cardinality(degree: int, gens: list, budget: int) -> int:
 def semigroup_generate(input, fmt, out, show_elements, budget_elements):
     """Cardinality (and optionally elements) of the transition semigroup
     of the minimal DFA."""
-    degree, gens = _generators(_load_dfa(input))
+    degree, gens = _letter_maps(_load_dfa(input))
     if show_elements:
         sg = generate(degree, gens, max_elements=budget_elements)
         doc = {"degree": degree, "cardinality": len(sg),
@@ -284,7 +276,7 @@ def semigroup_classify(input, fmt, out, budget_elements):
     the generators; both lie inside bsf, so the semigroup is listed, to
     check bsf element by element, only when it is in neither."""
     d = _load_dfa(input)
-    degree, gens = _generators(d)
+    degree, gens = _letter_maps(d)
     cardinality = _cardinality(degree, gens, budget_elements)
     in_vsf = degree >= 2 and _generated_in(gens, VSF)
     in_wsf = degree >= 2 and _generated_in(gens, WSF)

@@ -488,34 +488,33 @@ def semigroup_size(degree: int, generators) -> int:
     return size
 
 
-def _sink_last(d: Dfa) -> Dfa:
-    """Renumber so the empty (rejecting sink) state, if any, is n-1.
+def _letter_maps(d: Dfa) -> tuple:
+    """The state count and letter maps of the minimal DFA of d's
+    language, its one empty state numbered last: the degree and
+    generators of its transition semigroup.
 
     Minimization numbers states in BFS order, which typically places
-    the sink early; the class predicates expect the suffix-free
-    convention with the sink last.  Middle states keep their BFS order,
-    so the transformations change only by a conjugation fixing 0."""
-    n = d.state_count
-    sinks = d.empty_states()
+    the empty state early; the class predicates expect it last.  The
+    other states keep their order, so each map changes only by the
+    conjugation that moves the empty state to n-1 and fixes 0."""
+    m = minimize(d)
+    n = m.state_count
+    maps = [m.delta[a] for a in m.alphabet]
+    sinks = m.empty_states()
     if len(sinks) != 1 or sinks[0] == n - 1:
-        return d
+        return n, maps
     order = [q for q in range(n) if q != sinks[0]] + sinks
     new_of = {q: i for i, q in enumerate(order)}
-    delta = {a: [new_of[d.delta[a][q]] for q in order] for a in d.alphabet}
-    return Dfa(n, d.alphabet, delta, new_of[d.initial], [new_of[q] for q in d.finals])
+    return n, [Transformation([new_of[t[q]] for q in order]) for t in maps]
 
 
 def transition_semigroup(d: Dfa, max_elements: int = MAX_CLOSURE_ELEMENTS
                          ) -> TransitionSemigroup:
     """Transition semigroup of the minimal DFA of d's language, with the
     empty state (if present) numbered last."""
-    m = _sink_last(minimize(d))
-    return generate(
-        m.state_count,
-        [m.delta[a] for a in m.alphabet],
-        names=list(m.alphabet),
-        max_elements=max_elements,
-    )
+    degree, maps = _letter_maps(d)
+    return generate(degree, maps, names=list(d.alphabet),
+                    max_elements=max_elements)
 
 
 def enumerate_class(n: int, cls: str) -> frozenset:

@@ -18,7 +18,7 @@ from operator import or_
 from typing import Callable
 
 from .atoms import _atom_complexities, atoms, middle_basis_bound, syntactic_complexity
-from .automata import BudgetError, minimize
+from .automata import BudgetError
 from .langops import BooleanOp, boolean, concat, reverse, star
 from .semigroups import (
     BSF,
@@ -27,7 +27,7 @@ from .semigroups import (
     TransitionSemigroup,
     _close,
     _generated_in,
-    _sink_last,
+    _letter_maps,
     colliding_pairs,
     enumerate_class,
     focused_pairs,
@@ -216,18 +216,18 @@ def max_atom_table_bound(n: int, size: int) -> int:
     return middle_basis_bound(n, size)
 
 
-def verify_atom_table(n: int, construct: bool = None) -> list:
+def verify_atom_table(n: int, construct: bool = True) -> list:
     """Per-basis-size maxima of atom complexity for the quinary witness,
-    checked against the reference table.
+    checked against the reference table, which has a column for each n
+    in 4..9.
 
-    For n <= 9 the maxima are counted on the atoms' shared pair graph
-    (see atoms._atom_complexities), charged to the size-0 report; for
-    larger n only the bound formula is evaluated unless construct=True.
+    The maxima are counted on the atoms' shared pair graph (see
+    atoms._atom_complexities), charged to the size-0 report.  With
+    construct=False only the bound formula is evaluated and compared
+    with the table, as measure atom-table-formula.
     """
     if n not in ATOM_TABLE:
         raise ValueError(f"no reference table column for n={n}")
-    if construct is None:
-        construct = n <= 9
     maxima = {}
 
     def compute(size):
@@ -251,20 +251,13 @@ def verify_atom_table(n: int, construct: bool = None) -> list:
     ]
 
 
-def _letter_maps(d) -> list:
-    """The letter maps of the minimal DFA of d's language with its empty
-    state numbered last: the generators of its transition semigroup."""
-    m = _sink_last(minimize(d))
-    return [m.delta[a] for a in m.alphabet]
-
-
 def _star_side_generators(n: int) -> list:
     """Generators of the transition semigroup of a star-bound witness.
     The ternary witness family starts at n = 6; at n = 4, 5 the
     generators of vsf(n), the semigroup of a canonical automaton, stand
     in."""
     if n >= 6:
-        return _letter_maps(d5(n, "a,b,-"))
+        return _letter_maps(d5(n, "a,b,-"))[1]
     return [t for _, t in vsf_generators(n)]
 
 
@@ -288,9 +281,9 @@ def verify_semigroup_classes(n: int) -> list:
         _report("classes.star-in-vsf-not-wsf", {"n": n}, n >= 4,
                 lambda: inside(_star_side_generators(n), VSF, WSF), 1),
         _report("classes.reversal-in-wsf", {"n": n}, n >= 4,
-                lambda: inside(_letter_maps(d6(n, "a,-,c,-,e")), WSF), 1),
+                lambda: inside(_letter_maps(d6(n, "a,-,c,-,e"))[1], WSF), 1),
         _report("classes.atoms-in-wsf-not-vsf", {"n": n}, n >= 4,
-                lambda: inside(_letter_maps(d6(n)), WSF, VSF), 1),
+                lambda: inside(_letter_maps(d6(n))[1], WSF, VSF), 1),
     ]
     reports.append(_report(
         "classes.incompatible", {"n": n}, n >= 4,

@@ -74,8 +74,8 @@ def d6(n: int, dialect: str = None) -> Dfa:
     one per role; at n = 4 the role "a" still resolves (to the shared
     a/b transformation).
     """
-    if n < 4:
-        raise ValueError("d6 is defined for n >= 4")
+    if type(n) is not int or n < 4:
+        raise ValueError(f"d6 is defined for int n >= 4, not n = {n!r}")
     roles = _d6_roles(n)
     finals = frozenset(q for q in range(1, n - 1) if q % 2 == 1)
     if dialect is None:
@@ -90,10 +90,10 @@ def binary_product_pair(m: int, n: int):
     """The binary product witnesses (left primed automaton, right
     automaton).  Unspecified transitions go to the sink, (m-1)' on the
     left and n-1 on the right."""
-    if m < 6:
-        raise ValueError("left witness needs m >= 6")
-    if n < 3:
-        raise ValueError("right witness needs n >= 3")
+    if type(m) is not int or m < 6:
+        raise ValueError(f"left witness needs int m >= 6, not m = {m!r}")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"right witness needs int n >= 3, not n = {n!r}")
     b1 = [m - 1] * m
     b1[0] = 1
     b1[2] = 2

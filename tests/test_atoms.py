@@ -59,6 +59,15 @@ def test_atom_complexity_rejects_empty_intersection():
         atom_complexity(d, set(range(5)))
 
 
+def test_atom_bases_must_be_int_states():
+    # True == 1 and hashes alike, but a bool is not a state number.
+    for basis in ({True}, {"1"}, {1.0}, {1, False}):
+        with pytest.raises(ValueError, match="int states"):
+            atom_complexity(d6(5), basis)
+        with pytest.raises(ValueError, match="must be ints"):
+            suffix_free_atom_bound(5, basis)
+
+
 def test_atom_dfa_rejects_out_of_range_basis():
     with pytest.raises(ValueError):
         atom_dfa(d6(5), {9})

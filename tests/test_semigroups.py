@@ -12,7 +12,7 @@ from suffixfree.semigroups import (
     VSF,
     WSF,
     TransitionSemigroup,
-    _sink_last,
+    _letter_maps,
     colliding_pairs,
     enumerate_class,
     focused_pairs,
@@ -30,6 +30,7 @@ from suffixfree.semigroups import (
 from suffixfree.witnesses import d5, d6
 
 from helpers import (
+    random_dfa,
     random_transformation,
     reference_closure,
     reference_focused_pairs,
@@ -405,16 +406,39 @@ def test_transition_semigroup_of_witnesses():
 
 
 def test_sink_last_renumbering():
-    m = minimize(d6(5))
-    fixed = _sink_last(m)
-    n = fixed.state_count
-    sink = n - 1
-    assert sink not in fixed.finals
-    assert all(fixed.delta[a][sink] == sink for a in fixed.alphabet)
-    assert fixed.initial == 0
-    # no rejecting sink: returned unchanged
-    total = Dfa(2, ("a",), {"a": (1, 0)}, 0, {0})
-    assert _sink_last(total) is total
+    # Seeded random DFAs with a planted sink: its class in the minimal
+    # DFA is the one empty state, which BFS numbering often puts before
+    # n-1.  _letter_maps must conjugate minimize's maps by the
+    # renumbering that moves it to n-1 and keeps the others in order.
+    rng = random.Random(2207)
+    moved = kept = 0
+    for _ in range(400):
+        n = rng.randrange(2, 8)
+        d = random_dfa(rng, n, rng.randrange(1, 4))
+        sink = rng.randrange(1, n)
+        delta = {a: [sink if q == sink or rng.random() < 0.3 else t[q]
+                     for q in range(n)] for a, t in d.delta.items()}
+        d = Dfa(n, d.alphabet, delta, 0, d.finals - {sink})
+        m = minimize(d)
+        maps = [m.delta[a] for a in m.alphabet]
+        degree, got = _letter_maps(d)
+        assert degree == m.state_count
+        assert transition_semigroup(d).generators == tuple(zip(d.alphabet, got))
+        empty = m.empty_states()
+        if len(empty) != 1 or empty[0] == degree - 1:
+            kept += 1
+            assert got == maps
+            continue
+        moved += 1
+        s = empty[0]
+        new = [q - (q > s) for q in range(degree)]
+        new[s] = degree - 1
+        assert new[m.initial] == 0
+        for t, u in zip(maps, got, strict=True):
+            assert type(u) is Transformation
+            assert u[degree - 1] == degree - 1
+            assert all(u[new[q]] == new[t[q]] for q in range(degree))
+    assert moved > 50 and kept > 50
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,10 @@ def test_d6_rejects_bad_input():
         d6(3)
     with pytest.raises(ValueError):
         d6(6.0)
+    with pytest.raises(ValueError, match="int n >= 4"):
+        d6("7")
+    with pytest.raises(ValueError, match="int n >= 4"):
+        d6(True)
     with pytest.raises(ValueError):
         d6(5, "a,b,c,d")
     with pytest.raises(ValueError):
@@ -124,6 +128,9 @@ def test_binary_pair_range_errors():
         binary_product_pair(5, 7)
     with pytest.raises(ValueError):
         binary_product_pair(6, 2)
+    for m, n in ((6.0, 7), ("6", 7), (6, 7.0), (6, "7")):
+        with pytest.raises(ValueError, match="needs int"):
+            binary_product_pair(m, n)
 
 
 # ---------------------------------------------------------------------------
