@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from itertools import chain, combinations, count, product
+from itertools import chain, combinations, count, islice, product
 from math import factorial
 
 from .automata import BudgetError, Dfa, Transformation, minimize
@@ -196,7 +196,8 @@ def in_wsf(t) -> bool:
 _PREDICATE = {BSF: in_bsf, VSF: in_vsf, WSF: in_wsf}
 
 
-def _close(degree: int, gens, guard=None, max_elements: int = MAX_CLOSURE_ELEMENTS):
+def _close(degree: int, gens, guard=None, max_elements: int = MAX_CLOSURE_ELEMENTS,
+           seed=()):
     """Closure of bytes-encoded transformations (entry q is q's image).
 
     t * g (t first) is t.translate(g + _POINTS[degree:]), found
@@ -205,21 +206,33 @@ def _close(degree: int, gens, guard=None, max_elements: int = MAX_CLOSURE_ELEMEN
     the elements in discovery order, and the first (t, g) with t * g
     outside guard (a set holding the generators), else None.  More than
     max_elements elements raise BudgetError.
+
+    A seed, the closure of gens[:-1] as a list, grows as Froidure and
+    Pin add a generator: closed under gens[:-1] already, it is multiplied
+    by the last generator only, and what that finds by every generator.
+    The elements then start with the seed.
     """
     tail = _POINTS[degree:]
     tables = [g + tail for g in gens]
-    queue = list(dict.fromkeys(gens))
+    queue = list(seed)
     seen = set(queue)
-    for t in queue:
-        if len(queue) > max_elements:
-            raise BudgetError(f"closure exceeded max_elements={max_elements}")
-        for table in tables:
-            u = t.translate(table)
-            if u not in seen:
-                if guard is not None and u not in guard:
-                    return queue, (t, table[:degree])
-                seen.add(u)
-                queue.append(u)
+    for g in gens[-1:] if seed else gens:
+        if g not in seen:
+            seen.add(g)
+            queue.append(g)
+    # Unseeded, the loop runs over the list itself, as fast as before.
+    rest = islice(queue, len(seed), None) if seed else queue
+    for found, by in ((seed, tables[-1:]), (rest, tables)):
+        for t in found:
+            if len(queue) > max_elements:
+                raise BudgetError(f"closure exceeded max_elements={max_elements}")
+            for table in by:
+                u = t.translate(table)
+                if u not in seen:
+                    if guard is not None and u not in guard:
+                        return queue, (t, table[:degree])
+                    seen.add(u)
+                    queue.append(u)
     return queue, None
 
 

@@ -24,13 +24,10 @@ from .semigroups import (
     BSF,
     VSF,
     WSF,
-    TransitionSemigroup,
     _close,
     _generated_in,
     _letter_maps,
-    colliding_pairs,
     enumerate_class,
-    focused_pairs,
     semigroup_size,
     vsf_generators,
     wsf_cardinality,
@@ -327,14 +324,18 @@ def _pair_masks(n: int, elements: list) -> list:
     combinations(range(1, n - 1), 2) at bit j of each half.  Both kinds
     of pair are unions over elements, so a set of elements has every
     middle pair colliding and focused iff the OR of its masks is all
-    ones."""
-    bit = {p: 1 << j for j, p in enumerate(combinations(range(1, n - 1), 2))}
-    shift = len(bit)
+    ones.  Both are read off the element's bytes t: {p, q} collides when
+    t sends 0 to one of p and q and a middle state to the other, and is
+    focused when t[p] == t[q] is a middle state."""
+    middle = range(1, n - 1)
+    pairs = list(combinations(middle, 2))
 
     def mask(t):
-        one = TransitionSemigroup._of_bytes(n, [t])
-        return (sum(map(bit.get, colliding_pairs(one)))
-                | sum(map(bit.get, focused_pairs(one))) << shift)
+        images = t[1:-1]
+        return sum([1 << j for j, (p, q) in enumerate(pairs)
+                    if t[0] == p and q in images or t[0] == q and p in images]
+                   + [1 << len(pairs) + j for j, (p, q) in enumerate(pairs)
+                      if t[p] == t[q] in middle])
 
     return [mask(t) for t in elements]
 
@@ -352,6 +353,17 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
     bsf(n).  semigroups_found still counts generator subsets, each orbit
     by its size, not distinct semigroups: subsets that generate the same
     semigroup each count.
+
+    Subsets grow by orderly generation, one element past their largest
+    at a time.  The least subset of an orbit, without its largest
+    element, is the least of its own orbit, and a closure that leaves
+    bsf(n) leaves it for every larger subset, so only least subsets
+    whose closure stayed inside are grown, each closure seeded with the
+    closure of the subset it grew from.  Element i of bsf(n) is bit
+    N-1-i of a subset's mask, so of two subsets of one size the larger
+    mask is the lexicographically smaller subset; a subset is least in
+    its orbit iff no conjugate's mask is larger, and its orbit has as
+    many subsets as there are distinct masks.
     """
     for name, value in (("n", n), ("cap", cap)):
         if type(value) is not int:
@@ -365,28 +377,33 @@ def search_subsemigroups(n: int, cap: int = 3) -> SearchReport:
     bsf = [bytes(t) for t in sorted(enumerate_class(n, BSF))]
     bsf_set = set(bsf)
     maps = _conjugations(n, bsf)
+    # bits[i][k]: the mask bit of element i's image under conjugation k,
+    # maps[0] being the identity.
+    bits = [[1 << len(bsf) - 1 - m[i] for m in maps] for i in range(len(bsf))]
     mask = dict(zip(bsf, _pair_masks(n, bsf)))
     every_pair = (1 << 2 * math.comb(n - 2, 2)) - 1
-    found = 0
-    best = 0
+    found = best = 0
     any_both = False
-    # The least subset of an orbit starts at the least element of its
-    # own orbit.
-    for first in [i for i in range(len(bsf)) if all(m[i] >= i for m in maps)]:
-        for size in range(cap):
-            for rest in combinations(range(first + 1, len(bsf)), size):
-                subset = (first, *rest)
-                orbit = {tuple(sorted([m[i] for i in subset])) for m in maps}
-                if min(orbit) != subset:
-                    continue
-                elements, escape = _close(n, [bsf[i] for i in subset],
-                                          guard=bsf_set)
-                if escape is not None:
-                    continue
-                found += len(orbit)
-                best = max(best, len(elements))
-                if every_pair and reduce(or_, map(mask.get, elements)) == every_pair:
-                    any_both = True
+    # A subset: (its largest element + 1, its generators, each
+    # conjugate's mask, its closure, the OR of the closure's pair masks).
+    stack = [(0, [], [0] * len(maps), [], 0)]
+    while stack:
+        start, gens, images, elements, pairs = stack.pop()
+        for i in range(start, len(bsf)):
+            grown = list(map(or_, images, bits[i]))
+            if max(grown) != grown[0]:
+                continue
+            grown_gens = gens + [bsf[i]]
+            closed, escape = _close(n, grown_gens, guard=bsf_set, seed=elements)
+            if escape is not None:
+                continue
+            found += len(set(grown))
+            best = max(best, len(closed))
+            grown_pairs = reduce(or_, map(mask.get, closed[len(elements):]), pairs)
+            if every_pair and grown_pairs == every_pair:
+                any_both = True
+            if len(gens) + 1 < cap:
+                stack.append((i + 1, grown_gens, grown, closed, grown_pairs))
     return SearchReport(
         degree=n,
         generator_cap=cap,

@@ -27,9 +27,10 @@ def random_transformation(rng: random.Random, n: int) -> Transformation:
     return Transformation(tuple(rng.randrange(n) for _ in range(n)))
 
 
-def reference_closure(generators) -> frozenset:
+def reference_closure_order(generators) -> list:
     """Closure under composition by a plain tuple worklist, independent
-    of the byte kernel behind semigroups.generate."""
+    of the byte kernel behind semigroups.generate: the elements in BFS
+    order, each multiplied on the right by the generators in turn."""
     gens = [tuple(g) for g in generators]
     queue = list(dict.fromkeys(gens))
     seen = set(queue)
@@ -42,7 +43,11 @@ def reference_closure(generators) -> frozenset:
             if u not in seen:
                 seen.add(u)
                 queue.append(u)
-    return frozenset(seen)
+    return queue
+
+
+def reference_closure(generators) -> frozenset:
+    return frozenset(reference_closure_order(generators))
 
 
 @dataclass(frozen=True)

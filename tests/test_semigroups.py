@@ -33,6 +33,7 @@ from helpers import (
     random_dfa,
     random_transformation,
     reference_closure,
+    reference_closure_order,
     reference_focused_pairs,
     reference_in_vsf,
     reference_in_wsf,
@@ -320,6 +321,72 @@ def test_generate_matches_reference_closure():
                 s = generate(n, gens)
                 assert s.elements == reference_closure(gens), (n, gens)
                 assert all(type(t) is Transformation for t in s.elements)
+
+
+def test_generate_lists_elements_in_bfs_order():
+    rng = random.Random(59)
+    for n in range(2, 8):
+        for k in (1, 2, 3):
+            gens = [random_transformation(rng, n) for _ in range(k)]
+            assert ([tuple(t) for t in generate(n, gens)._raw]
+                    == reference_closure_order(gens)), (n, gens)
+
+
+def test_seeded_closure_matches_the_one_shot_closure():
+    # Seeded with the closure of all but the last generator, the closure
+    # lists the seed first and then the rest of the one-shot closure.
+    rng = random.Random(43)
+    for n in range(2, 8):
+        for k in (1, 2, 3):
+            for _ in range(6):
+                gens = [bytes(random_transformation(rng, n)) for _ in range(k)]
+                seed = semigroups._close(n, gens[:-1])[0]
+                elements, escape = semigroups._close(n, gens, seed=seed)
+                assert escape is None
+                assert elements[:len(seed)] == seed
+                assert len(set(elements)) == len(elements)
+                assert set(elements) == set(semigroups._close(n, gens)[0])
+                assert frozenset(map(tuple, elements)) == reference_closure(gens)
+                if seed:
+                    # A last generator that the seed holds adds nothing.
+                    again = gens[:-1] + [rng.choice(seed)]
+                    assert semigroups._close(n, again, seed=seed)[0] == seed
+
+
+def test_seeded_closure_escapes_bsf_when_the_one_shot_closure_does():
+    rng = random.Random(47)
+    tail = bytes(range(256))
+    for n in (4, 5):
+        bsf = sorted(bytes(t) for t in enumerate_class(n, BSF))
+        guard = set(bsf)
+        verdicts = []
+        for _ in range(400):
+            gens = rng.sample(bsf, rng.randint(1, 3))
+            inside = semigroups._close(n, gens, guard=guard)[1] is None
+            seed, escape = semigroups._close(n, gens[:-1], guard=guard)
+            if escape is not None:
+                assert not inside  # what a prefix escapes by, the whole does
+                continue
+            elements, escape = semigroups._close(n, gens, guard=guard, seed=seed)
+            assert (escape is None) == inside
+            if escape is not None:
+                t, g = escape
+                assert t in elements and g in gens
+                assert t.translate(g + tail[n:]) not in guard
+            verdicts.append((len(gens) > 1, inside))
+        assert {(True, True), (True, False)} <= set(verdicts)
+
+
+def test_seeded_closure_keeps_its_budget():
+    gens = [bytes(t) for _, t in vsf_generators(5)]
+    seed = semigroups._close(5, gens[:-1])[0]
+    size = len(semigroups._close(5, gens)[0])
+    assert len(seed) < size
+    with pytest.raises(BudgetError, match=f"max_elements={size - 1}"):
+        semigroups._close(5, gens, seed=seed, max_elements=size - 1)
+    with pytest.raises(BudgetError, match=f"max_elements={len(seed) - 1}"):
+        semigroups._close(5, gens, seed=seed, max_elements=len(seed) - 1)
+    assert len(semigroups._close(5, gens, seed=seed, max_elements=size)[0]) == size
 
 
 def test_generate_checks_the_image_range(monkeypatch):

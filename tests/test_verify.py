@@ -1,3 +1,4 @@
+import importlib
 import math
 from itertools import combinations, permutations
 
@@ -37,6 +38,9 @@ from suffixfree.verify import (
 from suffixfree.witnesses import d6
 
 from helpers import conjugate, kept_closures, reference_search
+
+# The package exports the function verify under the module's name.
+verify_module = importlib.import_module("suffixfree.verify")
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +299,67 @@ def test_pair_masks_or_to_the_pairs_of_each_closure():
     # No closure of the search meets the pair condition, so this is what
     # exercises the masks: their OR over a kept closure's elements gives
     # its colliding pairs in the low bits and its focused pairs above.
-    n = 4
-    pairs = list(combinations(range(1, n - 1), 2))
-    bsf = [bytes(t) for t in sorted(enumerate_class(n, BSF))]
-    mask = dict(zip(bsf, _pair_masks(n, bsf)))
-    kinds = set()
-    for closure in kept_closures(n, 3):
-        got = 0
-        for t in closure._raw:
-            got |= mask[t]
-        colliding, focused = colliding_pairs(closure), focused_pairs(closure)
-        kinds.add((bool(colliding), bool(focused)))
-        assert got == (sum(1 << pairs.index(p) for p in colliding)
-                       | sum(1 << pairs.index(p) for p in focused) << len(pairs))
-    assert {(True, False), (False, True)} <= kinds
+    # n = 4 has one middle pair, {1, 2}, so only n = 5 tells the pairs'
+    # bits apart.
+    for n, cap in ((4, 3), (5, 2)):
+        pairs = list(combinations(range(1, n - 1), 2))
+        bsf = [bytes(t) for t in sorted(enumerate_class(n, BSF))]
+        mask = dict(zip(bsf, _pair_masks(n, bsf)))
+        kinds = set()
+        for closure in kept_closures(n, cap):
+            got = 0
+            for t in closure._raw:
+                got |= mask[t]
+            colliding, focused = colliding_pairs(closure), focused_pairs(closure)
+            kinds.add((bool(colliding), bool(focused)))
+            assert got == (sum(1 << pairs.index(p) for p in colliding)
+                           | sum(1 << pairs.index(p) for p in focused) << len(pairs))
+        assert {(True, False), (False, True)} <= kinds, n
+
+
+@pytest.mark.parametrize("n, cap", [(4, 3), (5, 2)])
+def test_search_closes_each_least_subset_once_after_its_prefix(monkeypatch, n, cap):
+    close = verify_module._close
+    closed = []
+    inside = {}
+
+    def spy(degree, gens, **kw):
+        elements, escape = close(degree, gens, **kw)
+        closed.append(tuple(gens))
+        inside[tuple(gens)] = escape is None
+        return elements, escape
+
+    monkeypatch.setattr(verify_module, "_close", spy)
+    report = search_subsemigroups(n, cap)
+    assert len(set(closed)) == len(closed)
+    # Each element of bsf(n) by its rank, and the ranks of its conjugates,
+    # one row per permutation of the middle states.
+    bsf = sorted(enumerate_class(n, BSF))
+    raw = [bytes(t) for t in bsf]
+    rank = {t: i for i, t in enumerate(raw)}
+    rows = [[bsf.index(conjugate(t, (0, *middle, n - 1))) for t in bsf]
+            for middle in permutations(range(1, n - 1))]
+
+    def orbit(subset):
+        return {tuple(sorted(row[i] for i in subset)) for row in rows}
+
+    found = 0
+    for gens in closed:
+        subset = tuple(map(rank.get, gens))
+        assert list(subset) == sorted(set(subset)) and len(subset) <= cap
+        assert min(orbit(subset)) == subset
+        for k in range(1, len(gens)):
+            assert inside[gens[:k]], (gens, k)
+        if inside[gens]:
+            found += len(orbit(subset))
+    assert found == report.semigroups_found
+    # Every least subset whose proper prefixes stayed inside is closed.
+    expected = {
+        subset for size in range(1, cap + 1)
+        for subset in combinations(range(len(bsf)), size)
+        if (size == 1 or inside.get(tuple(raw[i] for i in subset[:-1])))
+        and min(orbit(subset)) == subset}
+    assert {tuple(map(rank.get, gens)) for gens in closed} == expected
 
 
 def test_search_rejects_arguments_that_are_not_ints():
