@@ -28,9 +28,7 @@ def _check_letters(alphabet: tuple) -> None:
 
 class Transformation(tuple):
     """A total self-map of {0,...,n-1}; entry q is the image of state q.
-
-    Composition is in diagrammatic order: q(s * t) = (qs)t.
-    """
+    Two compose by compose(s, t), in diagrammatic order."""
 
     __slots__ = ()
 
@@ -59,15 +57,13 @@ class Transformation(tuple):
     def identity(cls, n: int) -> "Transformation":
         return cls(range(n))
 
-    def __mul__(self, other: "Transformation") -> "Transformation":
-        return compose(self, other)
-
     def __repr__(self) -> str:
         return f"Transformation({list(self)})"
 
 
 def compose(s: Transformation, t: Transformation) -> Transformation:
-    """Apply s first, then t: result[q] = t[s[q]]."""
+    """Apply s first, then t: result[q] = t[s[q]], the diagrammatic
+    order q(st) = (qs)t.  The one spelling of composition."""
     if len(s) != len(t):
         raise ValueError(f"degree mismatch: {len(s)} vs {len(t)}")
     return Transformation([t[q] for q in s])

@@ -67,6 +67,12 @@ class PartialPermutation:
         return ",".join(self.mapping[a] or "-" for a in self.source)
 
 
+def _renamed(pi: PartialPermutation, roles) -> dict:
+    """Letter pi(a) maps to roles[a] for each role a that pi keeps, in
+    pi's source order: the one rename behind every dialect."""
+    return {pi.mapping[a]: roles[a] for a in pi.source if pi.mapping[a] is not None}
+
+
 def apply_dialect(d: Dfa, pi: PartialPermutation) -> Dfa:
     """Reassign letter roles: pi(a) carries the transformation of a;
     dropped roles lose their transformations.  Structure-preserving --
@@ -74,15 +80,8 @@ def apply_dialect(d: Dfa, pi: PartialPermutation) -> Dfa:
     if pi.source != d.alphabet:
         raise ValueError(
             f"dialect source {pi.source} != automaton alphabet {d.alphabet}")
-    alphabet = []
-    delta = {}
-    for a in d.alphabet:
-        letter = pi.mapping[a]
-        if letter is None:
-            continue
-        alphabet.append(letter)
-        delta[letter] = d.delta[a]
-    return Dfa(d.state_count, alphabet, delta, d.initial, d.finals)
+    delta = _renamed(pi, d.delta)
+    return Dfa(d.state_count, tuple(delta), delta, d.initial, d.finals)
 
 
 @dataclass(frozen=True)
@@ -141,6 +140,11 @@ def reverse(d: Dfa) -> Dfa:
     return reverse_full(d).dfa
 
 
+def _check_op(op) -> None:
+    if not isinstance(op, BooleanOp):
+        raise ValueError(f"op must be a BooleanOp, not {op!r}")
+
+
 def _final_rule(op: BooleanOp):
     return {
         BooleanOp.UNION: lambda x, y: x or y,
@@ -152,6 +156,7 @@ def _final_rule(op: BooleanOp):
 
 def boolean_full(d1: Dfa, d2: Dfa, op: BooleanOp) -> OpResult:
     """Boolean operation via the reachable direct product."""
+    _check_op(op)
     if set(d1.alphabet) != set(d2.alphabet):
         raise ValueError(
             f"alphabet mismatch: {d1.alphabet} vs {d2.alphabet}")

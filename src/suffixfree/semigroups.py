@@ -50,6 +50,16 @@ _GROUP_WEIGHT = 3
 _POINTS = bytes(range(256))
 
 
+def _check_degree(degree) -> None:
+    """ValueError unless degree is an int >= 1; BudgetError past the
+    byte encoding's limit of 256."""
+    if type(degree) is not int or degree < 1:
+        raise ValueError(f"degree must be an int >= 1, got {degree!r}")
+    if degree > 256:
+        raise BudgetError(f"degree {degree} exceeds the byte encoding's "
+                          "limit (max 256)")
+
+
 class TransitionSemigroup:
     """A finite set of transformations closed under composition.
 
@@ -65,11 +75,7 @@ class TransitionSemigroup:
     __slots__ = ("degree", "generators", "_raw", "_set", "_elements")
 
     def __init__(self, degree: int, elements):
-        if type(degree) is not int or degree < 1:
-            raise ValueError(f"degree must be an int >= 1, got {degree!r}")
-        if degree > 256:
-            raise ValueError(f"degree {degree} exceeds the byte encoding's "
-                             "limit (max 256)")
+        _check_degree(degree)
         elements = frozenset(map(Transformation, elements))
         for t in elements:
             if t.degree != degree:
@@ -239,18 +245,14 @@ def _close(degree: int, gens, guard=None, max_elements: int = MAX_CLOSURE_ELEMEN
 def _generator_bytes(degree: int, generators) -> tuple:
     """The generators as Transformations of the given degree and as bytes.
 
-    Raises ValueError unless degree is an int >= 1 that every generator
-    has, and BudgetError past the byte encoding's degree limit of 256.
+    Raises ValueError unless every generator has the degree, which
+    _check_degree admits.
     """
-    if type(degree) is not int or degree < 1:
-        raise ValueError(f"degree must be an int >= 1, got {degree!r}")
+    _check_degree(degree)
     gens = [Transformation(g) for g in generators]
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    if degree > 256:
-        raise BudgetError(f"closure at degree {degree} exceeds the byte "
-                          "encoding's limit (max 256)")
     return gens, [bytes(g) for g in gens]
 
 

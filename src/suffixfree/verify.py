@@ -17,9 +17,9 @@ from itertools import combinations, groupby, permutations
 from operator import or_
 from typing import Callable
 
-from .atoms import _atom_complexities, atoms, middle_basis_bound, syntactic_complexity
+from .atoms import _atom_complexities, atoms, suffix_free_atom_bound, syntactic_complexity
 from .automata import BudgetError
-from .langops import BooleanOp, boolean, concat, reverse, star
+from .langops import BooleanOp, _check_op, boolean, concat, reverse, star
 from .semigroups import (
     BSF,
     VSF,
@@ -163,6 +163,7 @@ def _boolean_witnesses(family: str, m: int, n: int):
 
 
 def verify_boolean(m: int, n: int, op: BooleanOp, family: str = "d6") -> ComplexityReport:
+    _check_op(op)
     w1, w2, in_range = _boolean_witnesses(family, m, n)
     return _report(
         f"boolean-{op.value}", {"m": m, "n": n, "family": family},
@@ -205,12 +206,12 @@ def verify_wsf_size(n: int) -> ComplexityReport:
 
 
 def max_atom_table_bound(n: int, size: int) -> int:
-    """Largest atom-complexity bound over bases of the given size."""
-    if size == 0:
-        return 2 ** (n - 2) + 1
-    if size == 1:
-        return max(n, middle_basis_bound(n, 1))
-    return middle_basis_bound(n, size)
+    """Largest atom-complexity bound over bases of the given size: the
+    middle basis {1,...,size} and, at size 1, the basis {0}."""
+    if type(size) is not int or size < 0:
+        raise ValueError(f"basis size must be an int >= 0, not {size!r}")
+    bases = [range(1, size + 1)] + [{0}] * (size == 1)
+    return max(suffix_free_atom_bound(n, b) for b in bases)
 
 
 def verify_atom_table(n: int, construct: bool = True) -> list:

@@ -19,20 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Dfa, Transformation, word_transformation
-from .langops import PartialPermutation, apply_dialect
+from .langops import PartialPermutation, _renamed
 from .semigroups import _cycle, _middle_cycle, wsf_generators
 
 
-def _identity(n: int) -> list:
-    return list(range(n))
-
-
 def _d5_roles(n: int) -> dict:
-    a = _identity(n)
+    a = list(range(n))
     a[0] = n - 1
     _cycle(a, (1, 2, 3))
     _cycle(a, range(4, n - 1))
-    b = _identity(n)
+    b = list(range(n))
     b[2] = n - 1
     b[1] = 2
     b[0] = 1
@@ -51,17 +47,16 @@ def d5(n: int, dialect: str = None) -> Dfa:
     if type(n) is not int or n < 6:
         raise ValueError(f"d5 is defined for int n >= 6, not n = {n!r}")
     roles = _d5_roles(n)
-    base = Dfa(n, ("a", "b", "c"), roles, 0, {1})
-    if dialect is None:
-        return base
-    return apply_dialect(base, PartialPermutation.parse(dialect, base.alphabet))
+    if dialect is not None:
+        roles = _renamed(PartialPermutation.parse(dialect, "abc"), roles)
+    return Dfa(n, tuple(roles), roles, 0, {1})
 
 
 def _d6_roles(n: int) -> dict:
-    """The five roles by name: the generators of wsf(n), with role b
-    equal to role a at n = 4."""
+    """The five roles by name, in order a..e: the generators of wsf(n),
+    with role b equal to role a at n = 4."""
     roles = dict(wsf_generators(n))
-    return {"b": roles["a"], **roles}
+    return {r: roles.get(r, roles["a"]) for r in "abcde"}
 
 
 def d6(n: int, dialect: str = None) -> Dfa:
@@ -77,13 +72,12 @@ def d6(n: int, dialect: str = None) -> Dfa:
     if type(n) is not int or n < 4:
         raise ValueError(f"d6 is defined for int n >= 4, not n = {n!r}")
     roles = _d6_roles(n)
+    if dialect is not None:
+        roles = _renamed(PartialPermutation.parse(dialect, "abcde"), roles)
+    elif n == 4:
+        del roles["a"]
     finals = frozenset(q for q in range(1, n - 1) if q % 2 == 1)
-    if dialect is None:
-        letters = ("b", "c", "d", "e") if n == 4 else ("a", "b", "c", "d", "e")
-        return Dfa(n, letters, {x: roles[x] for x in letters}, 0, finals)
-    pi = PartialPermutation.parse(dialect, "abcde")
-    delta = {pi.mapping[r]: roles[r] for r in "abcde" if pi.mapping[r]}
-    return Dfa(n, tuple(delta), delta, 0, finals)
+    return Dfa(n, tuple(roles), roles, 0, finals)
 
 
 def binary_product_pair(m: int, n: int):
@@ -102,7 +96,7 @@ def binary_product_pair(m: int, n: int):
     # loops at 2 and n-2 bracket the whole dotted range); only state 1
     # falls to the sink.  With fewer loops the coprime pairs cannot
     # accumulate arbitrary subsets and the product bound is unreachable.
-    b2 = _identity(n)
+    b2 = list(range(n))
     b2[0] = 1
     b2[1] = n - 1
     right = Dfa(n, ("a", "b"), {"a": _middle_cycle(n), "b": b2}, 0, {1})
@@ -113,10 +107,10 @@ def pred_word(q: int, n: int) -> str:
     """The predecessor word w_q over {a,b,c} for middle state q:
     cab^2 (q=1), ca (q=2), cab^4 (q=3), cab^2 a^3 b^(q-4) for even
     q >= 4, and ca^4 b^(q-5) for odd q >= 5."""
-    if n < 6:
-        raise ValueError("predecessor words are defined for n >= 6")
-    if not 1 <= q <= n - 2:
-        raise ValueError(f"q must be a middle state 1..{n - 2}")
+    if type(n) is not int or n < 6:
+        raise ValueError(f"predecessor words need int n >= 6, not n = {n!r}")
+    if type(q) is not int or not 1 <= q <= n - 2:
+        raise ValueError(f"q must be an int middle state 1..{n - 2}, not q = {q!r}")
     if q == 1:
         return "cabb"
     if q == 2:

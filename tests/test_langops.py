@@ -463,6 +463,13 @@ def test_boolean_rejects_alphabet_mismatch():
         boolean(d5(6), d5(6, "a,b,-"), BooleanOp.UNION)
 
 
+def test_boolean_rejects_an_op_that_is_not_a_boolean_op():
+    # The value string once escaped as a KeyError from the final rule.
+    for op in ("union", None, 1):
+        with pytest.raises(ValueError, match="BooleanOp"):
+            boolean_full(d6(5), d6(5, "b,a,c,d,e"), op)
+
+
 def test_complement_involution():
     rng = random.Random(13)
     for _ in range(10):

@@ -303,6 +303,18 @@ def test_generate_rejects_degree_past_byte_encoding():
     assert top.elements == frozenset({Transformation.identity(256)})
 
 
+def test_degree_limit_is_one_budget_error_everywhere():
+    # TransitionSemigroup raised a plain ValueError for the limit that
+    # generate and semigroup_size raise as BudgetError.
+    big = [Transformation.identity(257)]
+    messages = set()
+    for build in (TransitionSemigroup, generate, semigroup_size):
+        with pytest.raises(BudgetError) as caught:
+            build(257, big)
+        messages.add(str(caught.value))
+    assert len(messages) == 1
+
+
 def test_nine_cycle_closes_by_default():
     cycle = [(q + 1) % 9 for q in range(9)]
     assert len(generate(9, [cycle])) == 9

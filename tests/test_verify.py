@@ -94,6 +94,13 @@ def test_verify_boolean_4_4_is_informational():
     assert verify_boolean(4, 4, BooleanOp.SYMMETRIC_DIFFERENCE).computed == 1
 
 
+def test_verify_boolean_rejects_an_op_that_is_not_a_boolean_op():
+    # The value string once escaped as an AttributeError on op.value.
+    for op in ("union", "intersection", None):
+        with pytest.raises(ValueError, match="BooleanOp"):
+            verify_boolean(5, 5, op)
+
+
 def test_verify_boolean_rejects_unknown_family():
     with pytest.raises(ValueError):
         verify_boolean(6, 6, BooleanOp.UNION, family="d9")
@@ -169,6 +176,9 @@ def test_max_atom_table_bound_matches_table():
     for n, column in ATOM_TABLE.items():
         for size, expected in enumerate(column):
             assert max_atom_table_bound(n, size) == expected
+    for size in (-1, 5, 1.0):
+        with pytest.raises(ValueError):
+            max_atom_table_bound(6, size)
 
 
 def test_atom_table_rejects_unknown_column():

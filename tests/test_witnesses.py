@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from suffixfree.automata import Dfa, Transformation
@@ -41,6 +43,19 @@ def test_d5_rejects_non_int_n():
     for n in (6.0, True):
         with pytest.raises(ValueError, match="int n >= 6"):
             d5(n)
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_d5_dialect_matches_apply_dialect(n):
+    for entries in product("abc-", repeat=3):
+        dialect = ",".join(entries)
+        try:
+            expected = apply_dialect(d5(n), PartialPermutation.parse(dialect, "abc"))
+        except ValueError:
+            with pytest.raises(ValueError):
+                d5(n, dialect)
+            continue
+        assert d5(n, dialect).to_dict() == expected.to_dict()
 
 
 def test_d5_dialects():
@@ -152,6 +167,14 @@ def test_pred_word_range_errors():
         pred_word(5, 6)
     with pytest.raises(ValueError):
         pred_word(1, 5)
+
+
+def test_pred_word_rejects_non_int_arguments():
+    # 1.0 and True once passed as q = 1, 7.0 as n = 7, and "3" escaped
+    # as a TypeError.
+    for q, n in ((1.0, 7), (True, 7), (2, 7.0), ("3", 7), (3, "7")):
+        with pytest.raises(ValueError, match="int"):
+            pred_word(q, n)
 
 
 def test_verify_pred_word_all_middles():
