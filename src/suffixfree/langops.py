@@ -54,6 +54,8 @@ class PartialPermutation:
     @classmethod
     def parse(cls, text: str, source) -> "PartialPermutation":
         """Parse a comma-separated dialect like "a,b,-,d,e"."""
+        if not isinstance(text, str):
+            raise ValueError(f"a dialect is a comma-separated string, not {text!r}")
         source = tuple(source)
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != len(source):
@@ -77,6 +79,8 @@ def apply_dialect(d: Dfa, pi: PartialPermutation) -> Dfa:
     """Reassign letter roles: pi(a) carries the transformation of a;
     dropped roles lose their transformations.  Structure-preserving --
     no minimization is applied."""
+    if not isinstance(pi, PartialPermutation):
+        raise ValueError(f"a dialect is a PartialPermutation, not {pi!r}")
     if pi.source != d.alphabet:
         raise ValueError(
             f"dialect source {pi.source} != automaton alphabet {d.alphabet}")

@@ -613,30 +613,30 @@ def focused_pairs(s: TransitionSemigroup) -> frozenset:
         if any(map(operator.eq, lefts[p], rights[q])))
 
 
-def _cycle(image: list, states) -> None:
-    states = list(states)
-    if len(states) >= 2:
-        for i, q in enumerate(states):
-            image[q] = states[(i + 1) % len(states)]
-
-
-def _middle_cycle(n: int) -> Transformation:
-    """(0 -> n-1)(1,...,n-2), a role of every witness family."""
-    a = list(range(n))
-    a[0] = n - 1
-    _cycle(a, range(1, n - 1))
-    return Transformation(a)
+def _map(n: int, moves: dict, *cycles) -> Transformation:
+    """The map of {0,...,n-1} written as the paper writes it: each cycle
+    (q1,...,qk) sends q1 -> q2 -> ... -> qk -> q1, then each move p -> q
+    sends p to q, and every other state stays fixed.  So d5's role a,
+    (0 -> n-1)(1,2,3)(4,...,n-2), is _map(n, {0: n-1}, (1, 2, 3),
+    range(4, n-1))."""
+    image = list(range(n))
+    for cycle in cycles:
+        if cycle:
+            p = cycle[-1]
+            for q in cycle:
+                image[p] = q
+                p = q
+    for p in moves:
+        image[p] = moves[p]
+    return Transformation(image)
 
 
 def _cycles(n: int) -> list:
-    """The named middle cycle a and, for n >= 5, the transposition
-    b = (0 -> n-1)(1,2); at n = 4 b would equal a."""
-    named = [("a", _middle_cycle(n))]
+    """The named middle cycle a = (0 -> n-1)(1,...,n-2) and, for n >= 5,
+    the transposition b = (0 -> n-1)(1,2); at n = 4 b would equal a."""
+    named = [("a", _map(n, {0: n - 1}, range(1, n - 1)))]
     if n >= 5:
-        b = list(range(n))
-        b[0] = n - 1
-        _cycle(b, (1, 2))
-        named.append(("b", Transformation(b)))
+        named.append(("b", _map(n, {0: n - 1}, (1, 2))))
     return named
 
 
@@ -651,14 +651,9 @@ def vsf_generators(n: int) -> tuple:
         raise ValueError(f"need an int n >= 2, got {n!r}")
     if n == 2:
         # c1 degenerates to the single map 0 -> sink.
-        return (("c1", Transformation((1, 1))),)
-    cs = []
-    for p in range(1, n - 1):
-        c = list(range(n))
-        c[p] = n - 1
-        c[0] = p
-        cs.append((f"c{p}", Transformation(c)))
-    return tuple(_cycles(n) + cs)
+        return (("c1", _map(2, {0: 1})),)
+    return tuple(_cycles(n) + [(f"c{p}", _map(n, {p: n - 1, 0: p}))
+                               for p in range(1, n - 1)])
 
 
 def wsf_generators(n: int) -> tuple:
@@ -671,19 +666,13 @@ def wsf_generators(n: int) -> tuple:
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"need an int n >= 2, got {n!r}")
-    e = [n - 1] * n
-    e[0] = 1
+    e = ("e", Transformation([1] + [n - 1] * (n - 1)))
     if n == 2:
-        return (("e", Transformation(e)),)
+        return (e,)
     if n == 3:
-        return tuple(_cycles(n) + [("e", Transformation(e))])
-    c = list(range(n))
-    c[0] = n - 1
-    c[n - 2] = 1
-    d = list(range(n))
-    d[0] = d[1] = n - 1
-    return tuple(_cycles(n) + [("c", Transformation(c)), ("d", Transformation(d)),
-                               ("e", Transformation(e))])
+        return tuple(_cycles(n) + [e])
+    return tuple(_cycles(n) + [("c", _map(n, {0: n - 1, n - 2: 1})),
+                               ("d", _map(n, {0: n - 1, 1: n - 1})), e])
 
 
 def wsf_cardinality(n: int) -> int:

@@ -224,8 +224,9 @@ def verify_atom_table(n: int, construct: bool = True) -> list:
     construct=False only the bound formula is evaluated and compared
     with the table, as measure atom-table-formula.
     """
-    if n not in ATOM_TABLE:
-        raise ValueError(f"no reference table column for n={n}")
+    if type(n) is not int or n not in ATOM_TABLE:
+        raise ValueError(f"no reference table column for n = {n!r}; "
+                         f"the columns are int n = {min(ATOM_TABLE)}..{max(ATOM_TABLE)}")
     maxima = {}
 
     def compute(size):
@@ -456,8 +457,8 @@ def _listed(result) -> list:
 def verify(measure: str, **params) -> list:
     """Run one measure by name or alias at the given parameters (a
     boolean measure's family defaults to d6); returns a list of reports.
-    A missing parameter, or one the measure does not take, raises
-    ValueError."""
+    A missing parameter, one the measure does not take, or an n or m
+    that is not an int raises ValueError."""
     name = ALIASES.get(measure.lower(), measure.lower())
     if name not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -467,6 +468,9 @@ def verify(measure: str, **params) -> list:
     if set(params) != set(names):
         raise ValueError(f"measure {name!r} takes parameters {', '.join(names)}, "
                          f"not {', '.join(sorted(params)) or 'none'}")
+    for key in ("m", "n"):
+        if key in params and type(params[key]) is not int:
+            raise ValueError(f"parameter {key} must be an int, not {params[key]!r}")
     return _listed(run(**params))
 
 

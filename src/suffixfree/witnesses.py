@@ -20,20 +20,7 @@ from dataclasses import dataclass
 
 from .automata import Dfa, Transformation, word_transformation
 from .langops import PartialPermutation, _renamed
-from .semigroups import _cycle, _middle_cycle, wsf_generators
-
-
-def _d5_roles(n: int) -> dict:
-    a = list(range(n))
-    a[0] = n - 1
-    _cycle(a, (1, 2, 3))
-    _cycle(a, range(4, n - 1))
-    b = list(range(n))
-    b[2] = n - 1
-    b[1] = 2
-    b[0] = 1
-    _cycle(b, (3, 4))
-    return {"a": Transformation(a), "b": Transformation(b), "c": _middle_cycle(n)}
+from .semigroups import _map, wsf_generators
 
 
 def d5(n: int, dialect: str = None) -> Dfa:
@@ -46,7 +33,9 @@ def d5(n: int, dialect: str = None) -> Dfa:
     """
     if type(n) is not int or n < 6:
         raise ValueError(f"d5 is defined for int n >= 6, not n = {n!r}")
-    roles = _d5_roles(n)
+    roles = {"a": _map(n, {0: n - 1}, (1, 2, 3), range(4, n - 1)),
+             "b": _map(n, {2: n - 1, 1: 2, 0: 1}, (3, 4)),
+             "c": _map(n, {0: n - 1}, range(1, n - 1))}
     if dialect is not None:
         roles = _renamed(PartialPermutation.parse(dialect, "abc"), roles)
     return Dfa(n, tuple(roles), roles, 0, {1})
@@ -82,24 +71,22 @@ def d6(n: int, dialect: str = None) -> Dfa:
 
 def binary_product_pair(m: int, n: int):
     """The binary product witnesses (left primed automaton, right
-    automaton).  Unspecified transitions go to the sink, (m-1)' on the
-    left and n-1 on the right."""
+    automaton).  Both have a = (0 -> sink)(1,...,sink-1), the sink being
+    m-1 on the left and n-1 on the right; b is (0 -> 1)(Q \\ {0,2} -> m-1)
+    on the left and (0 -> 1)(1 -> n-1) on the right."""
     if type(m) is not int or m < 6:
         raise ValueError(f"left witness needs int m >= 6, not m = {m!r}")
     if type(n) is not int or n < 3:
         raise ValueError(f"right witness needs int n >= 3, not n = {n!r}")
-    b1 = [m - 1] * m
-    b1[0] = 1
-    b1[2] = 2
-    left = Dfa(m, ("a", "b"), {"a": _middle_cycle(m), "b": b1}, 0, {2, 4})
+    left = Dfa(m, ("a", "b"), {"a": _map(m, {0: m - 1}, range(1, m - 1)),
+                               "b": Transformation([1, m - 1, 2] + [m - 1] * (m - 3))},
+               0, {2, 4})
     # b on the right loops on every state of {2,...,n-2} (the drawn
     # loops at 2 and n-2 bracket the whole dotted range); only state 1
     # falls to the sink.  With fewer loops the coprime pairs cannot
     # accumulate arbitrary subsets and the product bound is unreachable.
-    b2 = list(range(n))
-    b2[0] = 1
-    b2[1] = n - 1
-    right = Dfa(n, ("a", "b"), {"a": _middle_cycle(n), "b": b2}, 0, {1})
+    right = Dfa(n, ("a", "b"), {"a": _map(n, {0: n - 1}, range(1, n - 1)),
+                                "b": _map(n, {0: 1, 1: n - 1})}, 0, {1})
     return left, right
 
 

@@ -124,6 +124,16 @@ def test_full_permutation_preserves_complexities():
     assert syntactic_complexity(swapped) == syntactic_complexity(d)
 
 
+def test_a_dialect_of_the_wrong_type_is_a_value_error():
+    # Each of these escaped as AttributeError.
+    for call in (lambda: d5(6, 5),
+                 lambda: d6(5, ["a", "b", "c", "d", "e"]),
+                 lambda: PartialPermutation.parse(None, "abc"),
+                 lambda: apply_dialect(d5(6), "a,b,c")):
+        with pytest.raises(ValueError, match="a dialect is a"):
+            call()
+
+
 def test_dialect_source_must_match_alphabet():
     pi = PartialPermutation.parse("a,b", ("a", "b"))
     with pytest.raises(ValueError):

@@ -184,6 +184,10 @@ def test_max_atom_table_bound_matches_table():
 def test_atom_table_rejects_unknown_column():
     with pytest.raises(ValueError):
         verify_atom_table(12)
+    # 5.0 == 5 once found column 5; "5" was reported as a missing column.
+    for n in (5.0, "5", True):
+        with pytest.raises(ValueError, match="int n"):
+            verify_atom_table(n)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +405,18 @@ def test_verify_dispatcher():
         verify("squaring", n=6)
     with pytest.raises(ValueError, match="takes parameters n, not none"):
         verify("star")
+
+
+def test_verify_rejects_an_n_or_m_that_is_not_an_int():
+    # These escaped as TypeError, or as a missing atom-table column.
+    for measure, params, key in (("star", {"n": "6"}, "n"),
+                                 ("syntactic", {"n": None}, "n"),
+                                 ("atom-table", {"n": "5"}, "n"),
+                                 ("reversal", {"n": 6.0}, "n"),
+                                 ("product", {"m": True, "n": 6}, "m"),
+                                 ("union", {"m": 6, "n": "6"}, "n")):
+        with pytest.raises(ValueError, match=f"parameter {key} must be an int"):
+            verify(measure, **params)
 
 
 def test_verify_all_order():
