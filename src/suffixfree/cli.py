@@ -39,12 +39,9 @@ from .semigroups import (
     WSF,
     _generated_in,
     _letter_maps,
-    colliding_pairs,
-    focused_pairs,
+    _pair_facts,
     generate,
-    is_subsemigroup_of,
     semigroup_size,
-    transition_semigroup,
 )
 from .witnesses import binary_product_pair, d5, d6
 
@@ -272,16 +269,13 @@ def semigroup_generate(input, fmt, out, show_elements, budget_elements):
 @BUDGET_ELEMENTS
 def semigroup_classify(input, fmt, out, budget_elements):
     """Membership of the transition semigroup in bsf/vsf/wsf, plus the
-    suffix-freeness of the language itself.  vsf and wsf are read off
-    the generators; both lie inside bsf, so the semigroup is listed, to
-    check bsf element by element, only when it is in neither."""
+    suffix-freeness of the language itself.  Each class is read off the
+    letter maps, bsf by the pair automaton; nothing is listed."""
     d = _load_dfa(input)
     degree, gens = _letter_maps(d)
     cardinality = _cardinality(degree, gens, budget_elements)
-    in_vsf = degree >= 2 and _generated_in(gens, VSF)
-    in_wsf = degree >= 2 and _generated_in(gens, WSF)
-    in_bsf = in_vsf or in_wsf or (degree >= 2 and is_subsemigroup_of(
-        generate(degree, gens, max_elements=budget_elements), BSF))
+    in_bsf, in_vsf, in_wsf = [degree >= 2 and _generated_in(gens, cls)
+                              for cls in (BSF, VSF, WSF)]
     doc = {
         "cardinality": cardinality,
         "suffix_free": is_suffix_free(d),
@@ -296,13 +290,13 @@ def semigroup_classify(input, fmt, out, budget_elements):
 @click.argument("input", type=DFA_FILE)
 @click.option("--format", "fmt", type=FORMATS, default="text")
 @click.option("--out", default=None)
-@BUDGET_ELEMENTS
-def semigroup_collisions(input, fmt, out, budget_elements):
+def semigroup_collisions(input, fmt, out):
     """Colliding and focused middle-state pairs of the transition
-    semigroup."""
-    sg = transition_semigroup(_load_dfa(input), max_elements=budget_elements)
-    _show({"colliding": [list(p) for p in sorted(colliding_pairs(sg))],
-           "focused": [list(p) for p in sorted(focused_pairs(sg))]}, fmt, out)
+    semigroup, read off the letter maps by the pair automaton; nothing
+    is listed."""
+    colliding, focused, _ = _pair_facts(*_letter_maps(_load_dfa(input)))
+    _show({"colliding": [list(p) for p in sorted(colliding)],
+           "focused": [list(p) for p in sorted(focused)]}, fmt, out)
 
 
 # ---------------------------------------------------------------------------

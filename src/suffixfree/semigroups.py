@@ -11,9 +11,9 @@ a distinguished sink n-1:
   state; |wsf(n)| = (n-1)**(n-2) + (n-2).
 
 vsf(n) and wsf(n) are semigroups (the tests check their closure), so
-a generated semigroup lies in one of them iff every generator does: its
-class is read off the generators and no element is listed.  bsf(n) is
-not closed, so its membership is checked element by element.
+a generated semigroup lies in one of them iff every generator does.
+bsf(n) is not closed; its membership and the colliding and focused
+pairs are reachability questions in the generators' pair automaton.
 """
 
 from __future__ import annotations
@@ -64,12 +64,12 @@ class TransitionSemigroup:
     """A finite set of transformations closed under composition.
 
     The elements are held as distinct bytes of length degree (entry q is
-    q's image), the closure kernel's encoding: len, membership, the class
-    predicates and the pair scans read them directly.  The frozenset of
+    q's image), the closure kernel's encoding: len and membership read
+    them directly, the class and pair facts read _gens.  The frozenset of
     Transformation in elements is built on first read and kept.  Two
     semigroups are equal when their degrees and element sets are.
     generators holds the named generators when generate built the
-    semigroup, and None otherwise.
+    semigroup, and None otherwise; _gens falls back on the elements.
     """
 
     __slots__ = ("degree", "generators", "_raw", "_set", "_elements")
@@ -134,6 +134,10 @@ class TransitionSemigroup:
 
     def __repr__(self) -> str:
         return f"TransitionSemigroup(degree={self.degree}, size={len(self)})"
+
+    def _gens(self) -> list:
+        return self._raw if self.generators is None else [
+            g for _, g in self.generators]
 
     def sorted_elements(self) -> list:
         """Elements in lexicographic image order (deterministic reports)."""
@@ -552,65 +556,72 @@ def enumerate_class(n: int, cls: str) -> frozenset:
     return frozenset([Transformation(t) for t in candidates if pred(t)])
 
 
+def _pair_facts(n: int, gens) -> tuple:
+    """The colliding and focused middle pairs of the semigroup gens
+    generate, and whether it merges 0 with a middle state off the sink,
+    by reachability in the pair automaton (Eppstein, SIAM J. Comput. 19,
+    1990): g takes pair (x, y), stored as x*n + y, to (xg, yg).
+    Non-empty words are the elements, so {p, q} collides iff one takes
+    some (0, r), r middle, to (p, q), and 0 merges iff one takes it to
+    some (x, x), x not the sink.  {p, q} is focused iff a word takes it
+    to a middle (x, x), found backwards: merged pairs stay merged, so
+    merging at 0 and moving on counts.  n is capped as in _check_degree."""
+    _check_degree(n)
+    middle = range(1, n - 1)
+    moves = [[a + b for a in [n * x for x in g] for b in g] for g in gens]
+    back = [[] for _ in range(n * n)]
+    for m in moves:
+        for v, w in enumerate(m):
+            back[w].append(v)
+
+    def reach(queue, succ):
+        seen = bytearray(n * n)
+        for v in queue:
+            if not seen[v]:
+                seen[v] = 1
+                queue.extend(succ[v])
+        return seen
+
+    reached = reach([m[r] for r in middle for m in moves], list(zip(*moves)))
+    merged = reach([x * (n + 1) for x in middle], back)
+    pairs = list(combinations(middle, 2))
+    return (frozenset([(p, q) for p, q in pairs
+                       if reached[p * n + q] or reached[q * n + p]]),
+            frozenset([(p, q) for p, q in pairs if merged[p * n + q]]),
+            any(reached[x * (n + 1)] for x in range(n - 1)))
+
+
 def _generated_in(generators, cls: str) -> bool:
-    """Whether the semigroup that the generators generate lies in vsf or
-    wsf (cls).  Both are closed under composition and hold what they
-    generate, so it does exactly when every generator does."""
-    return all(map(_PREDICATE[cls], generators))
+    """Whether the semigroup the generators generate lies in cls: for
+    vsf and wsf, closed under composition, iff every generator does.
+    bsf is not closed, but constrains only the powers of an element,
+    which are elements: it holds the semigroup iff every generator fixes
+    the sink and misses 0 and no element merges 0 with a middle state
+    off the sink (_pair_facts)."""
+    if cls != BSF:
+        return all(map(_PREDICATE[cls], generators))
+    return all(map(_sink_fixed_zero_free, generators)) and not (
+        generators and _pair_facts(len(generators[0]), generators)[2])
 
 
 def is_subsemigroup_of(s: TransitionSemigroup, cls: str) -> bool:
-    """True iff every element passes the class membership predicate.
-
-    For vsf and wsf a semigroup that generate built is judged on its
-    generators (see _generated_in).  bsf is not closed under
-    composition, so it, like a semigroup given by its elements, is
-    checked element by element.
-    """
+    """True iff every element of s lies in cls, judged by _generated_in
+    on s._gens(): nothing is listed."""
     if cls not in _PREDICATE:
         raise ValueError(f"unknown class {cls!r}")
-    if cls != BSF and s.generators is not None:
-        return _generated_in([g for _, g in s.generators], cls)
-    return all(map(_PREDICATE[cls], s._raw))
+    return _generated_in(s._gens(), cls)
 
 
 def colliding_pairs(s: TransitionSemigroup) -> frozenset:
     """Unordered middle-state pairs {p,q} such that some element sends 0
-    to p while sending another middle state to q."""
-    n = s.degree
-    pairs = set()
-    for t in s._raw:
-        p = t[0]
-        if p == n - 1 or p == 0:
-            continue
-        for r in range(1, n - 1):
-            q = t[r]
-            if q not in (n - 1, 0) and q != p:
-                pairs.add((min(p, q), max(p, q)))
-    return frozenset(pairs)
+    to p while sending another middle state to q (see _pair_facts)."""
+    return _pair_facts(s.degree, s._gens())[0]
 
 
 def focused_pairs(s: TransitionSemigroup) -> frozenset:
     """Unordered middle-state pairs merged by some element into a common
-    middle (non-sink, non-initial) state.
-
-    Scans byte columns: column q holds q's image under every element.
-    The left copy of each column marks 0 and n-1 as n-1, the right copy
-    marks them as 0, so a merge into 0 or n-1 never matches; {p, q} is
-    focused iff the left column of p and the right column of q agree at
-    some element.
-    """
-    n = s.degree
-    joined = b"".join(s._raw)
-    cols = [joined[q::n] for q in range(n)]
-    left, right = bytearray(range(256)), bytearray(range(256))
-    left[0] = n - 1
-    right[n - 1] = 0
-    lefts = [c.translate(left) for c in cols]
-    rights = [c.translate(right) for c in cols]
-    return frozenset(
-        (p, q) for p, q in combinations(range(1, n - 1), 2)
-        if any(map(operator.eq, lefts[p], rights[q])))
+    middle (non-sink, non-initial) state (see _pair_facts)."""
+    return _pair_facts(s.degree, s._gens())[1]
 
 
 def _map(n: int, moves: dict, *cycles) -> Transformation:

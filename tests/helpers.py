@@ -14,8 +14,8 @@ from suffixfree.automata import (
     minimize)
 from suffixfree.langops import BooleanOp, boolean
 from suffixfree.semigroups import (
-    BSF, VSF, WSF, TransitionSemigroup, _close, colliding_pairs, enumerate_class,
-    focused_pairs, generate, in_bsf, transition_semigroup, vsf_generators)
+    BSF, VSF, WSF, TransitionSemigroup, _close, enumerate_class, generate, in_bsf,
+    transition_semigroup, vsf_generators)
 from suffixfree.verify import SearchReport
 from suffixfree.witnesses import d5
 
@@ -126,21 +126,30 @@ def star_side_semigroup(n: int) -> TransitionSemigroup:
                     names=[name for name, _ in vsf_generators(n)])
 
 
-def reference_focused_pairs(s) -> frozenset:
-    """Focused pairs by grouping each element's middle states by their
-    image, independent of the column scan behind
-    semigroups.focused_pairs."""
+def reference_colliding_pairs(s) -> frozenset:
+    """Colliding pairs by scanning every element for 0 and another middle
+    state sent to two distinct middle states, independent of the pair
+    automaton behind semigroups.colliding_pairs."""
     n = s.degree
     pairs = set()
-    for t in s.elements:
-        targets: dict = {}
-        for q in range(1, n - 1):
-            targets.setdefault(t[q], []).append(q)
-        for r, qs in targets.items():
-            if r in (0, n - 1):
-                continue
-            pairs.update(combinations(qs, 2))
+    for t in s._raw:
+        p = t[0]
+        if p == n - 1 or p == 0:
+            continue
+        for r in range(1, n - 1):
+            q = t[r]
+            if q not in (n - 1, 0) and q != p:
+                pairs.add((min(p, q), max(p, q)))
     return frozenset(pairs)
+
+
+def reference_focused_pairs(s) -> frozenset:
+    """Focused pairs by their definition, some element sending both to
+    one middle state, checked pair by pair over the elements;
+    independent of the pair automaton behind semigroups.focused_pairs."""
+    n = s.degree
+    return frozenset((p, q) for p, q in combinations(range(1, n - 1), 2)
+                     if any(t[p] == t[q] not in (0, n - 1) for t in s._raw))
 
 
 def kept_closures(n: int, cap: int):
@@ -158,8 +167,9 @@ def kept_closures(n: int, cap: int):
 
 def reference_search(n: int, cap: int) -> SearchReport:
     """search_subsemigroups by closing every subset, with the pair sets
-    of each kept closure from colliding_pairs and focused_pairs,
-    independent of the orbit count and the per-element pair masks."""
+    of each kept closure from the element-scanning oracles, independent
+    of the orbit count, the per-element pair masks and the pair
+    automaton."""
     all_middle_pairs = frozenset(combinations(range(1, n - 1), 2))
     found = best = 0
     any_both = False
@@ -167,8 +177,8 @@ def reference_search(n: int, cap: int) -> SearchReport:
         found += 1
         best = max(best, len(closure))
         if (all_middle_pairs
-                and colliding_pairs(closure) == all_middle_pairs
-                and focused_pairs(closure) == all_middle_pairs):
+                and reference_colliding_pairs(closure) == all_middle_pairs
+                and reference_focused_pairs(closure) == all_middle_pairs):
             any_both = True
     return SearchReport(degree=n, generator_cap=cap, semigroups_found=found,
                         max_cardinality=best, any_colliding_and_focused=any_both,

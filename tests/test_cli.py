@@ -174,9 +174,9 @@ def test_semigroup_classify_d6_10_past_the_default_budget(runner, tmp_path):
     assert doc["in_vsf"] is False
 
 
-#: Semigroups inside bsf(5) but in neither vsf(5) nor wsf(5), so classify
-#: lists them for bsf; and a letter map that collides 0 with a middle
-#: state, outside bsf.
+#: A semigroup inside bsf(5) but in neither vsf(5) nor wsf(5), so only
+#: the pair automaton puts it in bsf; and a letter map that collides 0
+#: with a middle state, outside bsf.
 BSF_ONLY = Dfa(5, ["a", "b"], {"a": [1, 2, 4, 4, 4], "b": [4, 3, 1, 1, 4]}, 0, [2])
 NOT_BSF = Dfa(4, ["a", "b"], {"a": [1, 2, 3, 3], "b": [2, 2, 1, 3]}, 0, [2])
 
@@ -208,7 +208,7 @@ def test_semigroup_generate_lists_what_it_cannot_count(runner, tmp_path,
         assert json.loads(result.output)["cardinality"] == 67
 
 
-@pytest.mark.parametrize("command", ["generate", "classify", "collisions"])
+@pytest.mark.parametrize("command", ["generate", "classify"])
 def test_semigroup_commands_share_the_element_budget(tmp_path, monkeypatch,
                                                       capsys, command):
     src = write_dfa(tmp_path, "in.json", d6(5))
@@ -218,6 +218,47 @@ def test_semigroup_commands_share_the_element_budget(tmp_path, monkeypatch,
         run()
     assert exc.value.code == 2
     assert "max_elements=10" in capsys.readouterr().err
+
+
+def test_semigroup_collisions_d6_10_lists_nothing(runner, tmp_path):
+    # Listing the 43,046,729 elements of wsf(10) exceeds the default
+    # budget; the pair automaton has 100 states.
+    src = write_dfa(tmp_path, "in.json", d6(10))
+    result = invoke(runner, "semigroup", "collisions", src, "--format", "json")
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["colliding"] == []
+    assert doc["focused"] == [[p, q] for p in range(1, 9) for q in range(p + 1, 9)]
+    assert len(doc["focused"]) == 28
+
+
+def test_semigroup_collisions_takes_no_element_budget(tmp_path, monkeypatch,
+                                                      capsys):
+    src = write_dfa(tmp_path, "in.json", d6(5))
+    monkeypatch.setattr(sys, "argv", ["sfc", "semigroup", "collisions", src,
+                                      "--budget-elements", "10"])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
+    assert "--budget-elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [BSF_ONLY, NOT_BSF, d6(8)],
+                         ids=["bsf-only", "not-bsf", "d6-8"])
+def test_classify_and_collisions_never_list_the_semigroup(runner, tmp_path,
+                                                          monkeypatch, d):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the semigroup was listed")
+
+    monkeypatch.setattr("suffixfree.cli.generate", refuse)
+    monkeypatch.setattr(semigroups, "generate", refuse)
+    src = write_dfa(tmp_path, "in.json", d)
+    for command in ("classify", "collisions"):
+        result = invoke(runner, "semigroup", command, src, "--format", "json")
+        assert result.exit_code == 0, result.output
+    doc = json.loads(invoke(runner, "semigroup", "classify", src,
+                            "--format", "json").output)
+    assert doc["in_bsf"] is (d is not NOT_BSF)
 
 
 # ---------------------------------------------------------------------------

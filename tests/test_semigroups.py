@@ -12,7 +12,9 @@ from suffixfree.semigroups import (
     VSF,
     WSF,
     TransitionSemigroup,
+    _generated_in,
     _letter_maps,
+    _pair_facts,
     colliding_pairs,
     enumerate_class,
     focused_pairs,
@@ -27,6 +29,7 @@ from suffixfree.semigroups import (
     wsf_cardinality,
     wsf_generators,
 )
+from suffixfree.langops import is_suffix_free
 from suffixfree.witnesses import d5, d6
 
 from helpers import (
@@ -34,6 +37,7 @@ from helpers import (
     random_transformation,
     reference_closure,
     reference_closure_order,
+    reference_colliding_pairs,
     reference_focused_pairs,
     reference_in_vsf,
     reference_in_wsf,
@@ -816,7 +820,7 @@ def test_pair_duality_between_vsf_and_wsf():
 def test_focused_pairs_match_reference():
     cases = [transition_semigroup(d6(n)) for n in range(4, 9)]
     cases += [generate(n, [t for _, t in gens(n)])
-                    for n in range(4, 8) for gens in (vsf_generators, wsf_generators)]
+              for n in range(4, 8) for gens in (vsf_generators, wsf_generators)]
     cases.append(star_side_semigroup(6))
     # Random generators also merge middle states into 0, unlike bsf(n).
     rng = random.Random(5)
@@ -824,6 +828,59 @@ def test_focused_pairs_match_reference():
               for n in (2, 3, 5, 6) for _ in range(5)]
     for s in cases:
         assert focused_pairs(s) == reference_focused_pairs(s)
+        assert colliding_pairs(s) == reference_colliding_pairs(s)
+
+
+def _assert_pair_facts_match_the_oracles(n: int, gens) -> None:
+    # 0 merges when some element sends it and a middle state to one
+    # state other than the sink.
+    s = generate(n, gens)
+    merges = any(t[0] != n - 1 and t[0] in t[1:n - 1] for t in s._raw)
+    assert _pair_facts(n, gens) == (
+        reference_colliding_pairs(s), reference_focused_pairs(s), merges), gens
+
+
+def test_pair_facts_match_the_element_oracles_on_the_witnesses():
+    # d5 is defined from n = 6 on.
+    cases = [d6(n, dialect) for n in range(4, 9) for dialect in (None, "a,-,c,-,e")]
+    cases += [d5(n, dialect) for n in range(6, 9) for dialect in (None, "a,b,-")]
+    for d in cases:
+        _assert_pair_facts_match_the_oracles(*_letter_maps(d))
+
+
+def test_pair_facts_match_the_element_oracles_on_random_dfas():
+    # b b a b takes (1, 2) to (2, 0), (0, 1), (0, 0), (1, 1): the pair
+    # merges at 0 and then moves on to a middle state, so it is focused.
+    maps = [(0, 0, 3, 1), (1, 2, 0, 2)]
+    assert _pair_facts(4, maps) == ({(1, 2)}, {(1, 2)}, True)
+    _assert_pair_facts_match_the_oracles(4, maps)
+    # Random letter maps move the sink and send states to 0, so pairs
+    # also merge at 0 or at the sink.
+    rng = random.Random(2607)
+    checked = 0
+    while checked < 1000:
+        d = random_dfa(rng, rng.randint(3, 6), rng.randint(1, 3))
+        if not is_suffix_free(d):
+            _assert_pair_facts_match_the_oracles(*_letter_maps(d))
+            checked += 1
+
+
+def test_bsf_verdict_matches_the_listed_semigroup_on_random_generator_sets():
+    # 1 to 3 generators from bsf(n), some replaced by random maps that
+    # may move the sink or send a state to 0.  bsf(n) is not closed, so
+    # its own elements also generate semigroups outside it.
+    rng = random.Random(2608)
+    pools = {n: sorted(enumerate_class(n, BSF)) for n in range(2, 6)}
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        gens = [rng.choice(pools[n]) if rng.random() < 0.8
+                else random_transformation(rng, n)
+                for _ in range(rng.randint(1, 3))]
+        inside = _generated_in(gens, BSF)
+        assert inside == reference_is_subsemigroup_of(generate(n, gens), BSF), gens
+        outcomes.add((inside, all(map(in_bsf, gens))))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------

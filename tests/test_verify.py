@@ -9,7 +9,7 @@ from suffixfree.atoms import _atom_complexities, atoms
 from suffixfree.automata import BudgetError
 from suffixfree.langops import BooleanOp
 from suffixfree.semigroups import (
-    BSF, colliding_pairs, enumerate_class, focused_pairs, wsf_cardinality)
+    BSF, enumerate_class, wsf_cardinality)
 from suffixfree.verify import (
     ATOM_TABLE,
     ComplexityReport,
@@ -37,7 +37,9 @@ from suffixfree.verify import (
 )
 from suffixfree.witnesses import d6
 
-from helpers import conjugate, kept_closures, reference_search
+from helpers import (
+    conjugate, kept_closures, reference_colliding_pairs, reference_focused_pairs,
+    reference_search)
 
 # The package exports the function verify under the module's name.
 verify_module = importlib.import_module("suffixfree.verify")
@@ -312,7 +314,8 @@ def test_conjugation_maps_bsf_onto_itself(n):
 def test_pair_masks_or_to_the_pairs_of_each_closure():
     # No closure of the search meets the pair condition, so this is what
     # exercises the masks: their OR over a kept closure's elements gives
-    # its colliding pairs in the low bits and its focused pairs above.
+    # its colliding pairs in the low bits and its focused pairs above,
+    # as the element-scanning oracles find them.
     # n = 4 has one middle pair, {1, 2}, so only n = 5 tells the pairs'
     # bits apart.
     for n, cap in ((4, 3), (5, 2)):
@@ -324,7 +327,8 @@ def test_pair_masks_or_to_the_pairs_of_each_closure():
             got = 0
             for t in closure._raw:
                 got |= mask[t]
-            colliding, focused = colliding_pairs(closure), focused_pairs(closure)
+            colliding = reference_colliding_pairs(closure)
+            focused = reference_focused_pairs(closure)
             kinds.add((bool(colliding), bool(focused)))
             assert got == (sum(1 << pairs.index(p) for p in colliding)
                            | sum(1 << pairs.index(p) for p in focused) << len(pairs))
